@@ -412,30 +412,11 @@ func BenchmarkFullDayRun(b *testing.B) {
 	b.ReportMetric(float64(delivered), "delivered")
 }
 
-// benchFullDayShards is BenchmarkFullDayRun on the sharded event kernel:
-// the same full-scale day, partitioned into n spatial tiles with one kernel
-// goroutine each. The n=1 bench measures the sharded engine's intrinsic
-// overhead (windowed merge, keyed draws) against BenchmarkFullDayRun; the
-// n=2/4/8 benches measure intra-run scaling. Results are bit-identical for
-// every n — the delivered metric must match across the whole family.
-func benchFullDayShards(b *testing.B, n int) {
-	if testing.Short() {
-		b.Skip("full-day run takes tens of seconds; skipped under -short")
-	}
-	var delivered int
-	for i := 0; i < b.N; i++ {
-		cfg := experiment.DefaultConfig()
-		cfg.Scheme = routing.SchemeROBC
-		cfg.Shards = n
-		delivered = runBench(b, cfg).Delivered
-	}
-	b.ReportMetric(float64(delivered), "delivered")
-}
-
 // BenchmarkObsOverhead proves the observability layer's budget: the same
-// full-day sharded run with the live layer off (the shipped default — nil
-// Spans/Live, the pre-obs hot path) and on (a flight recorder sinking every
-// phase span plus a registry scraped at ~10 Hz, the `expsweep -listen` state).
+// full-day run with the live layer off (the shipped default — nil
+// Spans/Live, the pre-obs hot path) and on (a flight recorder attached as
+// the span sink plus a registry scraped at ~10 Hz, the `expsweep -listen`
+// state).
 // The acceptance bar is on within 2% of off; compare the sub-benchmarks'
 // ns/op. Run with -benchtime 1x like BenchmarkFullDayRun.
 func BenchmarkObsOverhead(b *testing.B) {
@@ -445,7 +426,6 @@ func BenchmarkObsOverhead(b *testing.B) {
 	base := func() experiment.Config {
 		cfg := experiment.DefaultConfig()
 		cfg.Scheme = routing.SchemeROBC
-		cfg.Shards = 2
 		return cfg
 	}
 	b.Run("off", func(b *testing.B) {
@@ -478,18 +458,14 @@ func BenchmarkObsOverhead(b *testing.B) {
 					}
 				}
 			}()
-			delivered = runBench(b, cfg).Delivered
+			res := runBench(b, cfg)
+			delivered = res.Delivered
 			close(stop)
 			<-scraped
-			if flight.Recorded() == 0 {
-				b.Fatal("instrumented run recorded no spans")
+			if got, want := reg.Snapshot().Counters.Generated, res.Telemetry.Counters.Generated; got != want {
+				b.Fatalf("registry saw %d generated messages, the run %d", got, want)
 			}
 		}
 		b.ReportMetric(float64(delivered), "delivered")
 	})
 }
-
-func BenchmarkFullDayRunShards1(b *testing.B) { benchFullDayShards(b, 1) }
-func BenchmarkFullDayRunShards2(b *testing.B) { benchFullDayShards(b, 2) }
-func BenchmarkFullDayRunShards4(b *testing.B) { benchFullDayShards(b, 4) }
-func BenchmarkFullDayRunShards8(b *testing.B) { benchFullDayShards(b, 8) }

@@ -37,12 +37,6 @@
 //	expsweep -fig 8 -quick -reps 5 -store .runcache -percentiles
 //	expsweep -fig 9 -quick -trace trace.jsonl -trace-sample 100
 //
-// The sharded event kernel adds -shards: every simulation in the sweep runs
-// on N spatial tiles, one kernel goroutine per tile, with bit-identical
-// results for every N ≥ 1 (see README "Sharded runs"):
-//
-//	expsweep -fig 8 -quick -shards 4   # intra-run parallelism, same bytes
-//
 // For performance work, -cpuprofile and -memprofile write pprof files on
 // clean exit (see README "Performance"):
 //
@@ -52,12 +46,12 @@
 // The observability layer adds -listen (serve a live HTML dashboard,
 // /metrics Prometheus exposition, /spans flight-recorder dump, and
 // /debug/pprof/* while the command runs), -progress (a single live status
-// line for the figure sweeps), and -spans (dump the phase-span ring as
+// line for the figure sweeps), and -spans (dump the cell-span ring as
 // JSONL on exit). See README "Observability":
 //
 //	expsweep -fig 8 -reps 5 -listen :9109    # watch at http://localhost:9109/
 //	expsweep -fig 8 -quick -progress         # terminal status line
-//	expsweep -fig 8 -quick -shards 4 -spans spans.jsonl
+//	expsweep -fig 8 -quick -spans spans.jsonl
 package main
 
 import (
@@ -103,14 +97,13 @@ func run(args []string) (err error) {
 		traceFormat = fs.String("trace-format", "jsonl", "trace encoding: jsonl | csv")
 		traceSample = fs.Int("trace-sample", 1, "trace one in N messages (1 = every message; sampled messages trace completely)")
 		percentiles = fs.Bool("percentiles", false, "also print pooled p50/p95/p99 delay columns for the figure sweeps")
-		shards      = fs.Int("shards", 0, "run each simulation on the sharded event kernel with N spatial tiles (0 = classic serial engine; results are identical for every N >= 1)")
 		adr         = fs.Bool("adr", false, "enable the network-server ADR loop (SNR-margin data-rate adaptation) for the run")
 		confirmed   = fs.Bool("confirmed", false, "switch uplinks to confirmed traffic: downlink acks in RX1/RX2, retransmission backoff")
 		cpuprofile  = fs.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
 		memprofile  = fs.String("memprofile", "", "write a pprof heap profile to this file on clean exit")
 		listen      = fs.String("listen", "", "serve live observability on this address (host:port) while the command runs: / is an HTML dashboard, /metrics a Prometheus exposition, /spans the flight-recorder dump, /debug/pprof/* profiling")
 		progress    = fs.Bool("progress", false, "render the figure sweeps (figs 8/9/12/13) as one live status line on stderr instead of per-replication lines")
-		spansFile   = fs.String("spans", "", "dump the recorded phase spans as JSONL to this file on exit ('-' = stderr)")
+		spansFile   = fs.String("spans", "", "dump the recorded sweep cell spans as JSONL to this file on exit ('-' = stderr)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -192,10 +185,6 @@ func run(args []string) (err error) {
 		base = experiment.QuickConfig()
 	}
 	base.Seed = *seed
-	if *shards < 0 || *shards > 1024 {
-		return fmt.Errorf("-shards %d outside [0, 1024] (0 = serial engine)", *shards)
-	}
-	base.Shards = *shards
 	base.MAC.ADR = *adr
 	base.MAC.Confirmed = *confirmed
 	if *fig == "adr" && (*adr || *confirmed) {

@@ -36,8 +36,7 @@ func TestFlagValidationErrors(t *testing.T) {
 		{"ablations non-bus", []string{"-fig", "ablations", "-scenario", "sensorgrid"}, "placement ablation needs the bus timetable"},
 		{"fig adr with -adr", []string{"-fig", "adr", "-adr"}, "-fig adr sweeps the MAC modes itself"},
 		{"fig adr with -confirmed", []string{"-fig", "adr", "-confirmed"}, "-fig adr sweeps the MAC modes itself"},
-		{"negative shards", []string{"-shards", "-1"}, "-shards -1 outside [0, 1024]"},
-		{"huge shards", []string{"-shards", "4096"}, "-shards 4096 outside [0, 1024]"},
+		{"removed shards flag", []string{"-shards", "2"}, "flag provided but not defined: -shards"},
 		{"progress non-sweep fig", []string{"-fig", "7", "-progress"}, "has no sweep cells"},
 		{"progress with quiet", []string{"-fig", "8", "-progress", "-quiet"}, "contradictory"},
 		{"spans clashes with trace", []string{"-fig", "8", "-spans", "t.jsonl", "-trace", "t.jsonl"}, "would interleave"},
@@ -131,37 +130,6 @@ func TestConfirmedFlagThreadsThrough(t *testing.T) {
 	defer func() { os.Stdout = old }()
 	if err := run([]string{"-fig", "10", "-quick", "-confirmed", "-adr"}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestShardsFlagThreadsThrough checks -shards reaches the simulation: the
-// throughput series renders identically on the serial engine's figure path
-// whether the sweep runs on 1 tile or 4 — the CLI-level face of the sharded
-// kernel's shard-count-invariance contract.
-func TestShardsFlagThreadsThrough(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the quick throughput series twice")
-	}
-	render := func(shards string) string {
-		t.Helper()
-		r, w, err := os.Pipe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		old := os.Stdout
-		os.Stdout = w
-		runErr := run([]string{"-fig", "10", "-quick", "-shards", shards})
-		w.Close()
-		os.Stdout = old
-		out, _ := io.ReadAll(r)
-		if runErr != nil {
-			t.Fatal(runErr)
-		}
-		return string(out)
-	}
-	one, four := render("1"), render("4")
-	if one != four {
-		t.Fatalf("-shards changed the figure output:\n--- shards=1\n%s\n--- shards=4\n%s", one, four)
 	}
 }
 

@@ -71,7 +71,7 @@ func run(args []string) error {
 	if *classQA {
 		cfg.Class = mlorass.ClassQueueA
 	}
-	if *alpha > 0 {
+	if *alpha != 0 {
 		cfg.Alpha = *alpha
 	}
 

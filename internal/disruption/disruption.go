@@ -38,12 +38,13 @@ func (c Config) Enabled() bool {
 	return c.GatewayOutageFraction > 0 || c.DeviceChurnFraction > 0
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. The fraction checks are written
+// so that NaN fails them too.
 func (c Config) Validate() error {
-	if c.GatewayOutageFraction < 0 || c.GatewayOutageFraction > 1 {
+	if !(c.GatewayOutageFraction >= 0 && c.GatewayOutageFraction <= 1) {
 		return fmt.Errorf("disruption: GatewayOutageFraction %v outside [0, 1]", c.GatewayOutageFraction)
 	}
-	if c.DeviceChurnFraction < 0 || c.DeviceChurnFraction > 1 {
+	if !(c.DeviceChurnFraction >= 0 && c.DeviceChurnFraction <= 1) {
 		return fmt.Errorf("disruption: DeviceChurnFraction %v outside [0, 1]", c.DeviceChurnFraction)
 	}
 	if c.OutageDuration < 0 {

@@ -1,6 +1,7 @@
 package disruption
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -141,6 +142,8 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{GatewayOutageFraction: -0.1},
 		{GatewayOutageFraction: 1.1},
 		{DeviceChurnFraction: 2},
+		{GatewayOutageFraction: math.NaN()},
+		{DeviceChurnFraction: math.NaN()},
 		{OutageDuration: -time.Hour},
 	}
 	for i, cfg := range bad {

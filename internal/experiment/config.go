@@ -11,6 +11,8 @@ package experiment
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"time"
 
 	"mlorass/internal/disruption"
@@ -139,16 +141,6 @@ type Config struct {
 	// fixed SF, fixed power, instant always-successful acks — which is the
 	// paper's setting; every existing figure is byte-identical under it.
 	MAC MACConfig
-
-	// Shards selects the execution engine. 0 (the zero value) runs the
-	// original single-threaded kernel, byte-identical to every committed
-	// golden. N ≥ 1 partitions the city into N spatial tiles and runs one
-	// event kernel per tile on its own goroutine, synchronised by
-	// conservative-lookahead windows; sharded results are bit-identical
-	// for every N and every tile boundary (Shards=1 is the reference),
-	// but intentionally distinct from the serial engine — see the README
-	// "Sharded runs" determinism contract.
-	Shards int
 }
 
 // MACConfig parameterises the ADR + confirmed-downlink subsystem. The zero
@@ -275,10 +267,10 @@ type TelemetryOptions struct {
 	// concurrency-safe and every event carries its run label. Tracing
 	// does not alter any measurement.
 	Trace *telemetry.Tracer
-	// Spans, when non-nil, receives wall-clock phase spans: per-window
-	// kernel/resolve/deliver and merge timings from the sharded engine,
-	// per-cell timings from ParallelSweep. Span timing lives entirely in
-	// the sink (internal/obs.FlightRecorder) — the engines never read the
+	// Spans, when non-nil, receives wall-clock spans: ParallelSweep ends
+	// one per cell, labelled with the cell and the sweep worker that ran
+	// it. Span timing lives entirely in the sink
+	// (internal/obs.FlightRecorder) — the simulation never reads the
 	// clock, so instrumentation cannot perturb results. Runtime-only:
 	// excluded from JSON artefacts and from the run-store key, like Trace.
 	Spans telemetry.SpanSink `json:"-"`
@@ -419,6 +411,9 @@ func (c *Config) Normalize() {
 
 // Validate reports configuration errors. Call Normalize first.
 func (c *Config) Validate() error {
+	if err := checkFinite("", reflect.ValueOf(c).Elem()); err != nil {
+		return err
+	}
 	if !c.Scheme.Valid() {
 		return fmt.Errorf("experiment: invalid scheme %d", int(c.Scheme))
 	}
@@ -481,8 +476,30 @@ func (c *Config) Validate() error {
 	if err := c.MAC.validate(); err != nil {
 		return err
 	}
-	if c.Shards < 0 || c.Shards > 1024 {
-		return fmt.Errorf("experiment: Shards %d outside [0, 1024] (0 = serial engine)", c.Shards)
+	return nil
+}
+
+// checkFinite rejects NaN and ±Inf in every float field of the struct v,
+// recursing into nested structs (Mobility, Disruption, MAC, ...). Pointers
+// and interfaces are not followed: the dataset and the runtime-only
+// telemetry sinks hold no knobs. NaN compares false against every range
+// check, so without this a non-finite knob runs and panics, hangs, or
+// silently reports nothing.
+func checkFinite(prefix string, v reflect.Value) error {
+	t := v.Type()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		name := prefix + t.Field(i).Name
+		switch f.Kind() {
+		case reflect.Float32, reflect.Float64:
+			if x := f.Float(); math.IsNaN(x) || math.IsInf(x, 0) {
+				return fmt.Errorf("experiment: %s %v must be finite", name, x)
+			}
+		case reflect.Struct:
+			if err := checkFinite(name+".", f); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }

@@ -1,6 +1,9 @@
 package experiment
 
 import (
+	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -144,6 +147,80 @@ func TestValidationRejectsBadConfigs(t *testing.T) {
 		cfg.Normalize()
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: accepted", tt.name)
+		}
+	}
+}
+
+// TestValidationRejectsNonFinite sets every float knob of Config, one at a
+// time, to NaN and ±Inf: Validate must name the field, so Run fails cleanly
+// instead of panicking, hanging, or reporting a silently empty run. The
+// field list is checked against the struct, so a new float knob cannot
+// slip past the table.
+func TestValidationRejectsNonFinite(t *testing.T) {
+	fields := map[string]func(*Config, float64){
+		"D2DRangeM":                        func(c *Config, v float64) { c.D2DRangeM = v },
+		"GatewayRangeM":                    func(c *Config, v float64) { c.GatewayRangeM = v },
+		"AreaSideM":                        func(c *Config, v float64) { c.AreaSideM = v },
+		"Alpha":                            func(c *Config, v float64) { c.Alpha = v },
+		"TxPowerDBm":                       func(c *Config, v float64) { c.TxPowerDBm = v },
+		"DutyCycle":                        func(c *Config, v float64) { c.DutyCycle = v },
+		"ShadowSigmaDB":                    func(c *Config, v float64) { c.ShadowSigmaDB = v },
+		"CaptureDB":                        func(c *Config, v float64) { c.CaptureDB = v },
+		"Mobility.SpeedMinMPS":             func(c *Config, v float64) { c.Mobility.Model = MobilityRandomWaypoint; c.Mobility.SpeedMinMPS = v },
+		"Mobility.SpeedMaxMPS":             func(c *Config, v float64) { c.Mobility.Model = MobilityRandomWaypoint; c.Mobility.SpeedMaxMPS = v },
+		"Disruption.GatewayOutageFraction": func(c *Config, v float64) { c.Disruption.GatewayOutageFraction = v },
+		"Disruption.DeviceChurnFraction":   func(c *Config, v float64) { c.Disruption.DeviceChurnFraction = v },
+		"MAC.ADRMarginDB":                  func(c *Config, v float64) { c.MAC.ADR = true; c.MAC.ADRMarginDB = v },
+		"MAC.DownlinkDutyCycle":            func(c *Config, v float64) { c.MAC.ADR = true; c.MAC.DownlinkDutyCycle = v },
+		"MAC.DownlinkTxPowerDBm":           func(c *Config, v float64) { c.MAC.ADR = true; c.MAC.DownlinkTxPowerDBm = v },
+	}
+	var walk func(prefix string, typ reflect.Type) []string
+	walk = func(prefix string, typ reflect.Type) []string {
+		var names []string
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			switch f.Type.Kind() {
+			case reflect.Float32, reflect.Float64:
+				names = append(names, prefix+f.Name)
+			case reflect.Struct:
+				names = append(names, walk(prefix+f.Name+".", f.Type)...)
+			}
+		}
+		return names
+	}
+	for _, name := range walk("", reflect.TypeOf(Config{})) {
+		if fields[name] == nil {
+			t.Errorf("float field %s missing from the table", name)
+		}
+	}
+
+	for name, set := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := tinyConfig()
+			set(&cfg, v)
+			cfg.Normalize()
+			err := cfg.Validate()
+			if err == nil {
+				t.Errorf("%s = %v accepted", name, v)
+				continue
+			}
+			if !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "finite") {
+				t.Errorf("%s = %v: error %q does not name the field as non-finite", name, v, err)
+			}
+		}
+	}
+
+	// Finite values of the same knobs are unaffected.
+	for _, mut := range []func(*Config){
+		func(c *Config) { c.Mobility.Model = MobilityRandomWaypoint },
+		func(c *Config) { c.MAC.ADR = true; c.MAC.Confirmed = true },
+		func(c *Config) { c.Disruption.GatewayOutageFraction = 0.5; c.Disruption.DeviceChurnFraction = 0.1 },
+	} {
+		cfg := tinyConfig()
+		mut(&cfg)
+		cfg.Normalize()
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("finite config rejected: %v", err)
 		}
 	}
 }

@@ -124,35 +124,6 @@ type device struct {
 	everActive bool
 	framesSent uint64
 	msgSends   uint64
-
-	// Sharded-engine state (zero and unread under the serial engine).
-	//
-	// msgSeq numbers this device's generated messages so sharded message
-	// IDs are intrinsic — (id+1)<<32|msgSeq — instead of a global counter
-	// whose value would depend on cross-device event interleaving. dlSeq
-	// numbers received downlink plans for keyed shadowing draws. The
-	// flight intervals record the device's current and previous uplink
-	// on-air spans so receiver-side phases can answer "was this device
-	// transmitting at instant T" for any T inside the window without
-	// ordering against the transmitter's own phase — see busyAt.
-	msgSeq        uint32
-	dlSeq         uint32
-	flightStart   time.Duration
-	flightEnd     time.Duration
-	prevFlightSta time.Duration
-	prevFlightEnd time.Duration
-}
-
-// busyAt reports whether one of the device's recorded uplink flights was on
-// the air at instant at. Two intervals suffice: the duty governor keeps a
-// device from having more than two flights overlap any lookahead window.
-//
-//mlorass:hotpath
-func (d *device) busyAt(at time.Duration) bool {
-	if at >= d.flightStart && at < d.flightEnd {
-		return true
-	}
-	return at >= d.prevFlightSta && at < d.prevFlightEnd
 }
 
 // sim is one assembled simulation run.
@@ -247,14 +218,6 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Shards > 0 {
-		// The windowed sharded engine: bit-identical results for every
-		// shard count and tile layout, deliberately distinct from the
-		// serial engine below (see sim_sharded.go).
-		res, _, err := runSharded(cfg, nil)
-		return res, err
-	}
-
 	fleet, ds, err := buildFleet(&cfg)
 	if err != nil {
 		return nil, err

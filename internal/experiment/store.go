@@ -25,10 +25,10 @@ import (
 // Version 2: the MAC subsystem (Config.MAC in the key, downlink/ADR
 // measurements and the SF distribution in the artefact).
 //
-// Version 3: the sharded execution engine (Config.Shards in the key —
-// sharded results are deliberately distinct from serial ones, so the
-// engine choice is semantic).
-const storeSchemaVersion = 3
+// Version 3: the sharded execution engine added a `shards` field to the key.
+//
+// Version 4: sharded engine removed; `shards` leaves the key.
+const storeSchemaVersion = 4
 
 // storeKey is the canonical, deterministic description of everything that
 // determines a Run's Result. Field order is fixed by the struct; every
@@ -62,7 +62,6 @@ type storeKey struct {
 	ThroughputBin     time.Duration         `json:"throughput_bin"`
 	TelemetryDisabled bool                  `json:"telemetry_disabled"`
 	MAC               MACConfig             `json:"mac"`
-	Shards            int                   `json:"shards"`
 }
 
 // cacheKey returns the run store key for cfg. ok is false when the config
@@ -100,7 +99,6 @@ func cacheKey(cfg Config) (key string, ok bool) {
 		ThroughputBin:     cfg.ThroughputBin,
 		TelemetryDisabled: cfg.Telemetry.Disabled,
 		MAC:               cfg.MAC,
-		Shards:            cfg.Shards,
 	}
 	b, err := json.Marshal(k)
 	if err != nil {

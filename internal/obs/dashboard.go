@@ -10,11 +10,10 @@ import (
 // The dashboard is one server-rendered page, refreshed by the browser every
 // two seconds — html/template over live state, no scripts, no external
 // assets. Forms follow the data's job: stat tiles for the headline numbers,
-// a meter for sweep progress, per-shard stacked bars (three fixed
-// categorical hues, one per engine phase) with every value also printed in
-// the adjacent table so color never carries alone, and single-hue bars for
-// the SF distribution. Light and dark are both explicit palettes selected
-// by prefers-color-scheme, validated against their surfaces.
+// a meter for sweep progress, tables for the span totals and recent spans,
+// and single-hue bars for the SF distribution, each value also printed so
+// color never carries alone. Light and dark are both explicit palettes
+// selected by prefers-color-scheme, validated against their surfaces.
 
 type dashKV struct {
 	Name  string
@@ -25,12 +24,6 @@ type dashSF struct {
 	SF    int
 	Count uint64
 	Pct   float64 // bar width, % of the largest SF count
-}
-
-type dashShard struct {
-	Shard                    int
-	Kernel, Resolve, Deliver string
-	KPct, RPct, DPct         float64 // stacked widths, % of row total
 }
 
 type dashPhase struct {
@@ -60,7 +53,6 @@ type dashData struct {
 	Counters      []dashKV
 	SF            []dashSF
 	HasSF         bool
-	Shards        []dashShard
 	Phases        []dashPhase
 	Recent        []dashSpan
 	Evicted       uint64
@@ -134,10 +126,7 @@ func (s *Server) dashData() dashData {
 	}
 	d.HasSF = sfMax > 0
 
-	totals := s.Flight.PhaseTotals()
-	perShard := map[int]*dashShard{}
-	var shardOrder []int
-	for _, t := range totals {
+	for _, t := range s.Flight.PhaseTotals() {
 		mean := time.Duration(0)
 		if t.Count > 0 {
 			mean = t.Total / time.Duration(t.Count)
@@ -148,32 +137,6 @@ func (s *Server) dashData() dashData {
 			Mean:  fmtSeconds(mean.Seconds()),
 			Max:   fmtSeconds(t.Max.Seconds()),
 		})
-		if t.Name == "kernel" || t.Name == "resolve" || t.Name == "deliver" {
-			row := perShard[t.Shard]
-			if row == nil {
-				row = &dashShard{Shard: t.Shard}
-				perShard[t.Shard] = row
-				shardOrder = append(shardOrder, t.Shard)
-			}
-			switch t.Name {
-			case "kernel":
-				row.Kernel = fmtSeconds(t.Total.Seconds())
-				row.KPct = t.Total.Seconds()
-			case "resolve":
-				row.Resolve = fmtSeconds(t.Total.Seconds())
-				row.RPct = t.Total.Seconds()
-			case "deliver":
-				row.Deliver = fmtSeconds(t.Total.Seconds())
-				row.DPct = t.Total.Seconds()
-			}
-		}
-	}
-	for _, si := range shardOrder {
-		row := perShard[si]
-		if sum := row.KPct + row.RPct + row.DPct; sum > 0 {
-			row.KPct, row.RPct, row.DPct = 100*row.KPct/sum, 100*row.RPct/sum, 100*row.DPct/sum
-		}
-		d.Shards = append(d.Shards, *row)
 	}
 
 	spans := s.Flight.Spans(0)
@@ -213,7 +176,6 @@ var dashTmpl = template.Must(template.New("dash").Parse(`<!DOCTYPE html>
   --ink-1: #0b0b0b; --ink-2: #52514e; --ink-muted: #898781;
   --grid: #e1e0d9; --baseline: #c3c2b7;
   --border: rgba(11,11,11,0.10);
-  --kernel: #2a78d6; --resolve: #eb6834; --deliver: #1baf7a;
   --seq: #2a78d6;
 }
 @media (prefers-color-scheme: dark) {
@@ -223,7 +185,6 @@ var dashTmpl = template.Must(template.New("dash").Parse(`<!DOCTYPE html>
     --ink-1: #ffffff; --ink-2: #c3c2b7; --ink-muted: #898781;
     --grid: #2c2c2a; --baseline: #383835;
     --border: rgba(255,255,255,0.10);
-    --kernel: #3987e5; --resolve: #d95926; --deliver: #199e70;
     --seq: #3987e5;
   }
 }
@@ -249,12 +210,6 @@ th { text-align: left; font-weight: 500; color: var(--ink-muted);
   font-size: 12px; border-bottom: 1px solid var(--baseline); padding: 3px 12px 3px 0; }
 td { padding: 3px 12px 3px 0; border-bottom: 1px solid var(--grid); }
 td.n, th.n { text-align: right; }
-.stack { display: flex; gap: 2px; height: 12px; min-width: 160px; }
-.stack > span { border-radius: 3px; }
-.legend { display: flex; gap: 16px; font-size: 12px; color: var(--ink-2);
-  margin-bottom: 8px; }
-.legend i { display: inline-block; width: 10px; height: 10px;
-  border-radius: 3px; margin-right: 5px; vertical-align: -1px; }
 .bar { display: inline-block; height: 10px; background: var(--seq);
   border-radius: 3px; vertical-align: middle; }
 .muted { color: var(--ink-muted); }
@@ -292,34 +247,11 @@ a { color: var(--ink-2); }
 </div>
 {{end}}
 
-{{if .Shards}}
-<div class="card">
-<h2>Engine phase breakdown</h2>
-<div class="legend">
-  <span><i style="background: var(--kernel)"></i>kernel</span>
-  <span><i style="background: var(--resolve)"></i>resolve</span>
-  <span><i style="background: var(--deliver)"></i>deliver</span>
-</div>
-<table>
-<tr><th>shard</th><th>share of phase time</th><th class="n">kernel</th><th class="n">resolve</th><th class="n">deliver</th></tr>
-{{range .Shards}}
-<tr><td>{{.Shard}}</td>
-<td><div class="stack">
-  <span style="background: var(--kernel); width: {{printf "%.1f" .KPct}}%"></span>
-  <span style="background: var(--resolve); width: {{printf "%.1f" .RPct}}%"></span>
-  <span style="background: var(--deliver); width: {{printf "%.1f" .DPct}}%"></span>
-</div></td>
-<td class="n">{{.Kernel}}</td><td class="n">{{.Resolve}}</td><td class="n">{{.Deliver}}</td></tr>
-{{end}}
-</table>
-</div>
-{{end}}
-
 {{if .Phases}}
 <div class="card">
-<h2>Phase totals{{if .Evicted}} <span class="muted">({{.Evicted}} spans evicted from ring)</span>{{end}}</h2>
+<h2>Span totals{{if .Evicted}} <span class="muted">({{.Evicted}} spans evicted from ring)</span>{{end}}</h2>
 <table>
-<tr><th>phase</th><th class="n">shard</th><th class="n">spans</th><th class="n">total</th><th class="n">mean</th><th class="n">max</th></tr>
+<tr><th>span</th><th class="n">worker</th><th class="n">spans</th><th class="n">total</th><th class="n">mean</th><th class="n">max</th></tr>
 {{range .Phases}}
 <tr><td>{{.Name}}</td><td class="n">{{.Shard}}</td><td class="n">{{.Count}}</td>
 <td class="n">{{.Total}}</td><td class="n">{{.Mean}}</td><td class="n">{{.Max}}</td></tr>
@@ -352,7 +284,7 @@ a { color: var(--ink-2); }
 <div class="card">
 <h2>Recent spans <span class="muted">(newest first)</span></h2>
 <table>
-<tr><th>phase</th><th class="n">shard</th><th class="n">wall</th><th class="n">sim clock</th><th class="n">attr</th><th>label</th></tr>
+<tr><th>span</th><th class="n">worker</th><th class="n">wall</th><th class="n">sim clock</th><th class="n">attr</th><th>label</th></tr>
 {{range .Recent}}
 <tr><td>{{.Name}}</td><td class="n">{{.Shard}}</td><td class="n">{{.Dur}}</td>
 <td class="n">{{.Sim}}</td><td class="n">{{.Attr}}</td><td>{{.Label}}</td></tr>

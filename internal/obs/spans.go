@@ -21,10 +21,9 @@ type SpanRecord struct {
 	WallNS int64 `json:"wall_ns"`
 	// DurNS is the span's wall-clock duration.
 	DurNS int64 `json:"dur_ns"`
-	// Name is the phase: "kernel", "resolve", "deliver", "merge", "cell".
+	// Name is the span's phase, "cell" for sweep cells.
 	Name string `json:"name"`
-	// Shard is the engine shard (-1 for coordinator spans, worker index for
-	// sweep cells).
+	// Shard is the sweep worker index for cell spans.
 	Shard int `json:"shard"`
 	// SimNS is the simulation clock at span end.
 	SimNS int64 `json:"sim_ns"`
@@ -35,8 +34,8 @@ type SpanRecord struct {
 }
 
 // PhaseTotal is the aggregate of every span recorded under one (name,
-// shard) pair — these survive ring eviction, so the dashboard's phase
-// breakdown covers the whole run even after the ring wraps.
+// shard) pair — these survive ring eviction, so the dashboard's span
+// totals cover the whole run even after the ring wraps.
 type PhaseTotal struct {
 	Name  string
 	Shard int

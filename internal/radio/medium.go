@@ -186,34 +186,6 @@ func (m *Medium) prune(cutoff time.Duration) {
 // ActiveCount returns the number of transmissions still tracked (diagnostic).
 func (m *Medium) ActiveCount() int { return len(m.active) }
 
-// ImportTx registers a transmission owned by another medium instance (a
-// foreign simulation shard) so local receive queries see it as an
-// interferer. It does not count toward stats.Transmissions — the owning
-// shard's Begin already did — so summed per-shard stats match a single
-// shared medium. Local IDs start at 1 and imported copies keep ID 0; the
-// capture scan's From-based self-skip covers both.
-//
-//mlorass:hotpath
-func (m *Medium) ImportTx(from int, pos geo.Point, power DBm, start, end time.Duration) {
-	var tx *Transmission
-	if n := len(m.pool); n > 0 {
-		tx = m.pool[n-1]
-		m.pool[n-1] = nil
-		m.pool = m.pool[:n-1]
-	} else {
-		//lint:ignore hotpathlint pool warm-up only: steady state recycles pruned transmissions
-		tx = &Transmission{}
-	}
-	*tx = Transmission{
-		From:     from,
-		Pos:      pos,
-		PowerDBm: power,
-		Start:    start,
-		End:      end,
-	}
-	m.active = append(m.active, tx)
-}
-
 // Receive evaluates whether a receiver at rxPos decodes tx. Call it at the
 // transmission's end time so all overlapping interferers are registered.
 // Each call makes one shadowing draw, so runs remain deterministic given
@@ -221,33 +193,7 @@ func (m *Medium) ImportTx(from int, pos geo.Point, power DBm, start, end time.Du
 //
 //mlorass:hotpath
 func (m *Medium) Receive(tx *Transmission, rxPos geo.Point) Reception {
-	return m.receive(tx, rxPos, m.shadow, tx.Start)
-}
-
-// ReceiveKeyed is Receive with the shadowing draw taken from a stream
-// derived from key instead of the medium's sequential shadow stream. Keys
-// mixed from intrinsic identities (seed, sender, frame sequence, receiver)
-// make the draw independent of global draw order, which is what lets
-// sharded runs produce shard-count-invariant results.
-//
-// keepSince replaces Receive's tx.Start prune cutoff: only transmissions
-// ending before it are evicted before the capture scan. Receive's cutoff is
-// execution-order dependent — a short frame that starts late but resolves
-// early evicts interferers that still overlap a longer, later-resolving
-// frame — which is fine for one shared pool but partition-dependent when
-// each shard prunes its own. Callers pass an epoch all shards share (the
-// sharded engine's window start), making the interferer set a pure function
-// of the global transmission history.
-//
-//mlorass:hotpath
-func (m *Medium) ReceiveKeyed(tx *Transmission, rxPos geo.Point, key uint64, keepSince time.Duration) Reception {
-	src := rng.Seeded(key)
-	return m.receive(tx, rxPos, &src, keepSince)
-}
-
-//mlorass:hotpath
-func (m *Medium) receive(tx *Transmission, rxPos geo.Point, shadow *rng.Source, pruneCutoff time.Duration) Reception {
-	m.prune(pruneCutoff)
+	m.prune(tx.Start)
 
 	dist := Meters(tx.Pos.Dist(rxPos))
 	if m.cfg.MaxRangeM > 0 && dist > m.cfg.MaxRangeM {
@@ -255,7 +201,7 @@ func (m *Medium) receive(tx *Transmission, rxPos geo.Point, shadow *rng.Source, 
 		return Reception{Outcome: OutcomeOutOfRange}
 	}
 
-	rssi := m.cfg.Loss.RSSI(tx.PowerDBm, dist, shadow)
+	rssi := m.cfg.Loss.RSSI(tx.PowerDBm, dist, m.shadow)
 	if rssi < m.cfg.SensitivityDBm {
 		m.stats.BelowSensitivity++
 		return Reception{Outcome: OutcomeBelowSensitivity, RSSIDBm: rssi}

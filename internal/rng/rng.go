@@ -47,30 +47,9 @@ func (r *Source) Split() *Source {
 	return New(r.Uint64() ^ 0xa0761d6478bd642f)
 }
 
-// Seeded is New returning the Source by value instead of by pointer, so a
-// short-lived generator for a keyed draw can live on the caller's stack.
-// Seeded(s) and *New(s) are bit-identical.
-//
-//mlorass:hotpath
-func Seeded(seed uint64) Source {
-	var src Source
-	sm := seed
-	for i := range src.s {
-		sm += 0x9e3779b97f4a7c15
-		z := sm
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		src.s[i] = z ^ (z >> 31)
-	}
-	if src.s[0]|src.s[1]|src.s[2]|src.s[3] == 0 {
-		src.s[0] = 0x9e3779b97f4a7c15
-	}
-	return src
-}
-
-// mix absorbs one word into a running SplitMix64-finalised key. Used by the
-// KeyN helpers below; the fixed arity keeps key derivation allocation-free
-// (a variadic signature would box the words into a slice).
+// mix absorbs one word into a running SplitMix64-finalised key. Used by
+// Key2 below; the fixed arity keeps key derivation allocation-free (a
+// variadic signature would box the words into a slice).
 //
 //mlorass:hotpath
 func mix(h, w uint64) uint64 {
@@ -81,28 +60,14 @@ func mix(h, w uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Key2 derives a draw key from a seed and two identity words. Keys feed
-// Seeded so that a draw depends only on the intrinsic identities mixed in —
-// never on how many draws other actors made before it — which is what makes
-// concurrent simulation shards partition-invariant.
+// Key2 derives a draw key from a seed and two identity words. The key
+// depends only on the identities mixed in — never on how many draws other
+// actors made before it — so a keyed value (such as the sweep farm's lease
+// jitter) replays exactly whatever the order of the calls.
 //
 //mlorass:hotpath
 func Key2(seed, a, b uint64) uint64 {
 	return mix(mix(seed, a), b)
-}
-
-// Key3 derives a draw key from a seed and three identity words.
-//
-//mlorass:hotpath
-func Key3(seed, a, b, c uint64) uint64 {
-	return mix(mix(mix(seed, a), b), c)
-}
-
-// Key4 derives a draw key from a seed and four identity words.
-//
-//mlorass:hotpath
-func Key4(seed, a, b, c, d uint64) uint64 {
-	return mix(mix(mix(mix(seed, a), b), c), d)
 }
 
 // Uint64 returns the next 64 uniformly distributed bits.
