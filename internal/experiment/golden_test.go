@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -72,6 +73,22 @@ func TestGoldenFigTables(t *testing.T) {
 	tables := fmt.Sprintf("%s\n%s\n%s\n%s",
 		Fig8Table(points), Fig9Table(points), Fig12Table(points), Fig13Table(points))
 	goldenCompare(t, "fig_tables_quick.golden", tables)
+}
+
+// TestGoldenFigBlock locks the complete figure-sweep table block that
+// expsweep prints for one environment: every Fig 8/9/12/13 table over all
+// seven gateway counts, the pooled percentile table, the matched-coverage
+// table and the overhead-ratio lines, for QuickConfig at seed 1, urban.
+func TestGoldenFigBlock(t *testing.T) {
+	cfg := QuickConfig()
+	cfg.Seed = 1
+	points, err := ParallelSweep(cfg, Urban, SweepOptions{Workers: 1, Reps: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	RenderFigureTables(&b, points, 1, true)
+	goldenCompare(t, "fig_block_quick.golden", b.String())
 }
 
 // TestGoldenOutageTable locks the PR 2 resilience figure the same way the
