@@ -3,9 +3,13 @@
 // series, the Fig. 7 dataset statistics, and the ablations (α sensitivity,
 // Queue-based Class-A, random gateway placement).
 //
-// Sweeps fan out over a worker pool (-parallel, default GOMAXPROCS) and can
-// replicate every cell across derived seeds (-reps), reporting each metric
-// as mean ± 95% confidence interval instead of a one-seed point estimate.
+// Every sweep — the figure grid, -fig resilience and -fig adr — is a list of
+// cells run by one executor: a worker pool (-parallel, default GOMAXPROCS)
+// backed by the optional run store (-store), with cell spans and one
+// progress handler. The figure sweeps can replicate every cell across
+// derived seeds (-reps), reporting each metric as mean ± 95% confidence
+// interval instead of a one-seed point estimate; the resilience and ADR
+// tables render one replication per cell and reject -reps > 1.
 //
 // Beyond the paper's figures, the scenario engine adds -scenario (run any
 // figure under random-waypoint or sensor-grid mobility instead of the bus
@@ -46,12 +50,25 @@
 // The observability layer adds -listen (serve a live HTML dashboard,
 // /metrics Prometheus exposition, /spans flight-recorder dump, and
 // /debug/pprof/* while the command runs), -progress (a single live status
-// line for the figure sweeps), and -spans (dump the cell-span ring as
-// JSONL on exit). See README "Observability":
+// line for the sweeps), and -spans (dump the cell-span ring as JSONL on
+// exit). See README "Observability":
 //
 //	expsweep -fig 8 -reps 5 -listen :9109    # watch at http://localhost:9109/
 //	expsweep -fig 8 -quick -progress         # terminal status line
 //	expsweep -fig 8 -quick -spans spans.jsonl
+//
+// The figure sweeps (figs 8/9/12/13, one -env) also run across processes
+// on the crash-tolerant sweep farm, printing the in-process pool's bytes
+// (see README "Wire mode"):
+//
+//	expsweep -fig 8 -env urban -store /shared/cache -serve :7600        # coordinator
+//	expsweep -fig 8 -env urban -store /shared/cache -connect host:7600  # worker (any number)
+//
+// -serve leases cells to workers, retries lost or failed attempts,
+// quarantines cells that fail every attempt (reported as gaps under the
+// tables) and merges each cell once. -connect computes -parallel cells at
+// once with the coordinator's figure/env/scale/seed/reps flags, and refuses
+// cells its own grid does not derive.
 package main
 
 import (
@@ -88,11 +105,11 @@ func run(args []string) (err error) {
 		seed        = fs.Uint64("seed", 1, "random seed (replications derive theirs from it)")
 		quick       = fs.Bool("quick", false, "reduced scale (shorter horizon, smaller fleet)")
 		quiet       = fs.Bool("quiet", false, "suppress per-run progress lines")
-		parallel    = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool size for the figure sweeps (figs 8/9/12/13, resilience)")
-		reps        = fs.Int("reps", 1, "replications per sweep cell (figs 8/9/12/13); tables report mean ± 95% CI")
+		parallel    = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool size for the sweeps (figs 8/9/12/13, resilience, adr); with -connect, cells this worker computes at once")
+		reps        = fs.Int("reps", 1, "replications per figure-sweep cell (figs 8/9/12/13); tables report mean ± 95% CI")
 		scenario    = fs.String("scenario", "buses", "mobility scenario: buses | randomwaypoint | sensorgrid")
 		nodes       = fs.Int("nodes", 0, "node count for the randomwaypoint/sensorgrid scenarios (0 = default)")
-		storeDir    = fs.String("store", "", "run-artifact store directory: figure-sweep cells already stored are loaded instead of re-simulated, fresh cells are persisted (resumable sweeps)")
+		storeDir    = fs.String("store", "", "run-artifact store directory: sweep cells already stored are loaded instead of re-simulated, fresh cells are persisted (resumable sweeps); -serve and -connect processes share it")
 		traceFile   = fs.String("trace", "", "write a sampled per-packet event trace to this file ('-' = stdout)")
 		traceFormat = fs.String("trace-format", "jsonl", "trace encoding: jsonl | csv")
 		traceSample = fs.Int("trace-sample", 1, "trace one in N messages (1 = every message; sampled messages trace completely)")
@@ -102,8 +119,14 @@ func run(args []string) (err error) {
 		cpuprofile  = fs.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
 		memprofile  = fs.String("memprofile", "", "write a pprof heap profile to this file on clean exit")
 		listen      = fs.String("listen", "", "serve live observability on this address (host:port) while the command runs: / is an HTML dashboard, /metrics a Prometheus exposition, /spans the flight-recorder dump, /debug/pprof/* profiling")
-		progress    = fs.Bool("progress", false, "render the figure sweeps (figs 8/9/12/13) as one live status line on stderr instead of per-replication lines")
+		progress    = fs.Bool("progress", false, "render the sweeps as one live status line on stderr instead of per-cell lines")
 		spansFile   = fs.String("spans", "", "dump the recorded sweep cell spans as JSONL to this file on exit ('-' = stderr)")
+		serve       = fs.String("serve", "", "coordinate a multi-process figure sweep: lease cells to expsweep -connect workers on this address (figs 8/9/12/13, single -env)")
+		connect     = fs.String("connect", "", "run as a worker process against an expsweep -serve coordinator at this address, with the coordinator's figure/env/scale/seed/reps flags")
+		workerID    = fs.String("id", "", "worker name in leases and events for -connect (default: hostname-pid)")
+		leaseTTL    = fs.Duration("lease-ttl", 30*time.Second, "with -serve: cell lease lifetime between heartbeats; an expired lease re-queues its cell")
+		drain       = fs.Duration("drain", 2*time.Second, "with -serve: keep answering workers for this long after the sweep completes, so connected workers learn it is done and exit cleanly")
+		giveUp      = fs.Duration("giveup", time.Minute, "with -connect: exit with an error after this long without one successful coordinator call (the supervision signal that the coordinator is gone)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -130,11 +153,18 @@ func run(args []string) (err error) {
 		fmt.Fprintln(os.Stderr, "expsweep: note: -trace-sample has no effect without -trace")
 	}
 	switch *fig {
-	case "8", "9", "12", "13":
+	case "8", "9", "12", "13", "all":
+	case "resilience", "adr":
+		if *reps > 1 {
+			return fmt.Errorf("-fig %s -reps %d: %w", *fig, *reps, experiment.ErrSingleRep)
+		}
 	default:
 		if *progress {
-			return fmt.Errorf("-progress renders figure-sweep progress; -fig %s has no sweep cells (use figs 8/9/12/13)", *fig)
+			return fmt.Errorf("-progress renders sweep progress; -fig %s has no sweep cells (use figs 8/9/12/13, resilience, adr or all)", *fig)
 		}
+	}
+	if err := validateWire(*fig, *envName, *serve, *connect, *listen, *traceFile, *progress); err != nil {
+		return err
 	}
 	if *progress && *quiet {
 		return fmt.Errorf("-progress and -quiet are contradictory: one asks for a live status line, the other for silence")
@@ -292,20 +322,16 @@ func run(args []string) (err error) {
 
 	switch *fig {
 	case "7", "10", "11", "ablations":
-		// These artefacts run outside the sweep engine; say so rather
+		// These artefacts run outside the sweep executor; say so rather
 		// than silently dropping the flags.
 		if *reps > 1 || fs.Lookup("parallel").Value.String() != fs.Lookup("parallel").DefValue {
-			fmt.Fprintf(os.Stderr, "expsweep: note: -parallel/-reps apply to the figure sweeps only; -fig %s runs single-seed, serial\n", *fig)
+			fmt.Fprintf(os.Stderr, "expsweep: note: -parallel/-reps apply to the sweeps only; -fig %s runs single-seed, serial\n", *fig)
 		}
 		if store != nil {
-			fmt.Fprintf(os.Stderr, "expsweep: note: -store caches figure-sweep cells only; -fig %s always simulates\n", *fig)
+			fmt.Fprintf(os.Stderr, "expsweep: note: -store caches sweep cells only; -fig %s always simulates\n", *fig)
 		}
 		if *percentiles {
 			fmt.Fprintf(os.Stderr, "expsweep: note: -percentiles applies to the figure sweeps (figs 8/9/12/13) only\n")
-		}
-	case "resilience", "adr":
-		if store != nil {
-			fmt.Fprintf(os.Stderr, "expsweep: note: -store caches figure-sweep cells only; the %s sweep always simulates\n", *fig)
 		}
 	}
 
@@ -313,6 +339,12 @@ func run(args []string) (err error) {
 	case "7":
 		return fig7(base)
 	case "8", "9", "12", "13":
+		switch {
+		case *connect != "":
+			return sw.connectSweep(*connect, base, envs[0], *workerID, *giveUp)
+		case *serve != "":
+			return sw.serveSweep(*serve, base, envs[0], *leaseTTL, *drain)
+		}
 		return sw.sweepFig(base, envs)
 	case "10":
 		return series(base, experiment.Urban)
@@ -341,6 +373,9 @@ func run(args []string) (err error) {
 		}
 		if err := series(base, experiment.Rural); err != nil {
 			return err
+		}
+		if *reps > 1 {
+			fmt.Fprintf(os.Stderr, "expsweep: note: -reps %d applies to the figure sweeps; the resilience and adr sweeps run one replication per cell\n", *reps)
 		}
 		if err := sw.resilience(base, envs); err != nil {
 			return err
@@ -419,7 +454,8 @@ func fig7(base experiment.Config) error {
 	return nil
 }
 
-// sweeper runs the figure sweeps through the parallel engine.
+// sweeper runs the sweeps: in process on the shared executor, or as either
+// half of a multi-process farm (wire.go).
 type sweeper struct {
 	workers     int
 	reps        int
@@ -428,42 +464,30 @@ type sweeper struct {
 	percentiles bool
 	// Observability: figName labels the tracker, tracker (when non-nil)
 	// feeds the dashboard/metrics sweep gauges, progress switches the
-	// per-replication stderr lines to one live status line.
+	// per-cell stderr lines to one live status line.
 	figName  string
 	tracker  *obs.SweepTracker
 	progress bool
 }
 
-func (sw sweeper) sweepFig(base experiment.Config, envs []experiment.Environment) error {
+// sweep runs one sweep per environment on the executor, under the one
+// progress handler, and prints each environment's store traffic (stderr)
+// and tables (stdout). run performs one environment's sweep and renders its
+// tables.
+func (sw sweeper) sweep(name string, envs []experiment.Environment, reps int,
+	run func(experiment.Environment, experiment.SweepOptions) (string, error)) error {
+	opts := experiment.SweepOptions{Workers: sw.workers, Reps: reps, Store: sw.store}
+	if sw.tracker != nil || !sw.quiet {
+		opts.Progress = sw.cellDone
+	}
 	for _, env := range envs {
 		// Stats are cumulative since Open; report this sweep's delta.
 		var before runstore.Stats
 		if sw.store != nil {
 			before = sw.store.Stats()
 		}
-		if sw.tracker != nil {
-			sw.tracker.Begin(fmt.Sprintf("fig %s %s", sw.figName, env), sw.workers)
-		}
-		var fn func(experiment.CellUpdate)
-		if sw.tracker != nil || !sw.quiet {
-			fn = func(u experiment.CellUpdate) {
-				sw.tracker.CellDone(u.Completed, u.Total, u.Cached, u.Result.Telemetry)
-				switch {
-				case sw.progress:
-					// One carriage-returned line, rewritten per cell.
-					fmt.Fprintf(os.Stderr, "\r\x1b[K%s", sw.tracker.Status().Line())
-				case !sw.quiet:
-					from := ""
-					if u.Cached {
-						from = " (cached)"
-					}
-					fmt.Fprintf(os.Stderr, "  [%3d/%3d] rep %d seed %d%s: %s\n",
-						u.Completed, u.Total, u.Rep, u.Seed, from, u.Result.String())
-				}
-			}
-		}
-		points, err := experiment.ParallelSweepFunc(base, env,
-			experiment.SweepOptions{Workers: sw.workers, Reps: sw.reps, Store: sw.store}, fn)
+		sw.tracker.Begin(fmt.Sprintf("fig %s %s", name, env), sw.workers)
+		tables, err := run(env, opts)
 		sw.tracker.Finish()
 		if sw.progress {
 			fmt.Fprintln(os.Stderr) // seal the status line
@@ -476,43 +500,54 @@ func (sw sweeper) sweepFig(base experiment.Config, envs []experiment.Environment
 			fmt.Fprintf(os.Stderr, "expsweep: store %s: %d loaded, %d simulated and persisted\n",
 				sw.store.Dir(), st.Hits-before.Hits, st.Puts-before.Puts)
 		}
-		experiment.RenderFigureTables(os.Stdout, points, sw.reps, sw.percentiles)
+		fmt.Print(tables)
 	}
 	return nil
+}
+
+// cellDone is the progress handler of every in-process sweep.
+func (sw sweeper) cellDone(u experiment.CellUpdate) {
+	sw.tracker.CellDone(u.Completed, u.Total, u.Cached, u.Result.Telemetry)
+	switch {
+	case sw.progress:
+		// One carriage-returned line, rewritten per cell.
+		fmt.Fprintf(os.Stderr, "\r\x1b[K%s", sw.tracker.Status().Line())
+	case !sw.quiet:
+		from := ""
+		if u.Cached {
+			from = " (cached)"
+		}
+		fmt.Fprintf(os.Stderr, "  [%3d/%3d] %s seed %d%s: %s\n",
+			u.Completed, u.Total, u.Label, u.Seed, from, u.Result.String())
+	}
+}
+
+// sweepFig runs the figure grid (figs 8/9/12/13) and prints its table block.
+func (sw sweeper) sweepFig(base experiment.Config, envs []experiment.Environment) error {
+	return sw.sweep(sw.figName, envs, sw.reps, func(env experiment.Environment, o experiment.SweepOptions) (string, error) {
+		points, err := experiment.ParallelSweep(base, env, o)
+		var b strings.Builder
+		experiment.RenderFigureTables(&b, points, sw.reps, sw.percentiles)
+		return b.String(), err
+	})
 }
 
 // resilience runs the outage sweep: delivery ratio per scheme as a growing
 // fraction of gateways goes down for one outage window each.
 func (sw sweeper) resilience(base experiment.Config, envs []experiment.Environment) error {
-	for _, env := range envs {
-		var fn func(string)
-		if !sw.quiet {
-			fn = func(line string) { fmt.Fprintln(os.Stderr, "  "+line) }
-		}
-		points, err := experiment.OutageSweep(base, env, sw.workers, fn)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiment.OutageTable(points))
-	}
-	return nil
+	return sw.sweep("resilience", envs, 1, func(env experiment.Environment, o experiment.SweepOptions) (string, error) {
+		points, err := experiment.OutageSweep(base, env, o)
+		return experiment.OutageTable(points) + "\n", err
+	})
 }
 
 // adr runs the adaptive-data-rate sweep: the fixed-SF7 baseline against the
 // ADR and ADR+confirmed modes, per gateway density.
 func (sw sweeper) adr(base experiment.Config, envs []experiment.Environment) error {
-	for _, env := range envs {
-		var fn func(string)
-		if !sw.quiet {
-			fn = func(line string) { fmt.Fprintln(os.Stderr, "  "+line) }
-		}
-		points, err := experiment.ADRSweep(base, env, sw.workers, fn)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiment.ADRTable(points))
-	}
-	return nil
+	return sw.sweep("adr", envs, 1, func(env experiment.Environment, o experiment.SweepOptions) (string, error) {
+		points, err := experiment.ADRSweep(base, env, o)
+		return experiment.ADRTable(points) + "\n", err
+	})
 }
 
 func series(base experiment.Config, env experiment.Environment) error {

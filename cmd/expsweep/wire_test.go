@@ -15,18 +15,18 @@ import (
 	"time"
 )
 
-// helperSep separates arguments inside SWEEPD_HELPER_ARGS; environment
-// variables cannot carry NUL, and 0x1f never appears in sweepd flags.
+// helperSep separates arguments inside EXPSWEEP_HELPER_ARGS; environment
+// variables cannot carry NUL, and 0x1f never appears in expsweep flags.
 const helperSep = "\x1f"
 
-// TestMain doubles as a sweepd re-exec hook: when SWEEPD_HELPER_ARGS is set
-// the test binary behaves exactly like the sweepd CLI with those arguments.
-// The multi-process wire tests use this to spawn real coordinator and
-// worker processes without needing a prebuilt binary.
+// TestMain doubles as an expsweep re-exec hook: when EXPSWEEP_HELPER_ARGS is
+// set the test binary behaves exactly like the expsweep CLI with those
+// arguments. The multi-process tests use it to spawn real coordinator and
+// worker processes without a prebuilt binary.
 func TestMain(m *testing.M) {
-	if raw, ok := os.LookupEnv("SWEEPD_HELPER_ARGS"); ok {
+	if raw, ok := os.LookupEnv("EXPSWEEP_HELPER_ARGS"); ok {
 		if err := run(strings.Split(raw, helperSep)); err != nil {
-			fmt.Fprintln(os.Stderr, "sweepd:", err)
+			fmt.Fprintln(os.Stderr, "expsweep:", err)
 			os.Exit(1)
 		}
 		os.Exit(0)
@@ -34,38 +34,27 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// sweepdCmd builds a subprocess that re-executes this test binary as sweepd
-// with the given CLI arguments. The context kills it on timeout.
-func sweepdCmd(ctx context.Context, args ...string) *exec.Cmd {
+// expsweepCmd builds a subprocess that re-executes this test binary as
+// expsweep with the given arguments. The context kills it on timeout.
+func expsweepCmd(ctx context.Context, args ...string) *exec.Cmd {
 	cmd := exec.CommandContext(ctx, os.Args[0])
-	cmd.Env = append(os.Environ(), "SWEEPD_HELPER_ARGS="+strings.Join(args, helperSep))
+	cmd.Env = append(os.Environ(), "EXPSWEEP_HELPER_ARGS="+strings.Join(args, helperSep))
 	return cmd
 }
 
-func TestFlagValidation(t *testing.T) {
-	for _, tc := range []struct {
-		args []string
-		want string
-	}{
-		{[]string{"-fig", "7"}, "unknown figure"},
-		{[]string{"positional"}, "unexpected positional"},
-		{[]string{"-workers", "0"}, "-workers"},
-		{[]string{"-reps", "0"}, "-reps"},
-		{[]string{"-attempts", "0"}, "-attempts"},
-		{[]string{"-inflight", "0"}, "-inflight"},
-		{[]string{"-progress", "-quiet"}, "contradictory"},
-		{[]string{"-env", "lunar"}, "unknown environment"},
-		{[]string{"-serve", "x:1", "-connect", "y:1"}, "exclusive"},
-		{[]string{"-serve", "x:1"}, "ambiguous over the wire"},
-		{[]string{"-connect", "y:1"}, "ambiguous over the wire"},
-		{[]string{"-connect", "y:1", "-env", "urban", "-listen", ":0"}, "-listen"},
-		{[]string{"-connect", "y:1", "-env", "urban", "-progress"}, "-progress belongs"},
-	} {
-		err := run(tc.args)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("run(%v) = %v, want error containing %q", tc.args, err, tc.want)
-		}
+// runExpsweep runs expsweep to completion in a subprocess and returns its
+// stdout and stderr, failing the test if it exits non-zero.
+func runExpsweep(t *testing.T, args ...string) (stdout, stderr string) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	cmd := expsweepCmd(ctx, args...)
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("expsweep %v: %v\nstderr:\n%s", args, err, errOut.String())
 	}
+	return out.String(), errOut.String()
 }
 
 func TestParseEnvs(t *testing.T) {
@@ -89,62 +78,47 @@ func TestWorkerName(t *testing.T) {
 	}
 }
 
-// captureRun executes run(args) in-process with stdout redirected, failing
-// the test on any run error, and returns what was printed.
-func captureRun(t *testing.T, args []string) string {
-	t.Helper()
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	got := make(chan string)
-	go func() {
-		var buf strings.Builder
-		io.Copy(&buf, r)
-		got <- buf.String()
-	}()
-	runErr := run(args)
-	w.Close()
-	os.Stdout = old
-	out := <-got
-	r.Close()
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	return out
-}
-
-// TestRunQuickSweep drives the real farm end to end through the CLI entry
-// point — a quick urban grid with a store, run twice so both the compute
-// path and the recover-from-store path execute, and the tables must agree
-// byte for byte. (The byte-identity claim against expsweep lives in CI,
-// where both binaries exist.)
+// TestRunQuickSweep drives the in-process executor end to end through the
+// CLI, for the figure grid and the resilience sweep alike: a quick urban
+// sweep with a store, run twice, so both the compute path and the
+// load-from-store path execute. The second run must load every cell and
+// print byte-identical tables.
 func TestRunQuickSweep(t *testing.T) {
-	dir := t.TempDir()
-	args := []string{"-fig", "8", "-quick", "-env", "urban", "-seed", "1",
-		"-workers", "4", "-quiet", "-store", filepath.Join(dir, "store")}
-
-	first := captureRun(t, args)
-	if !strings.Contains(first, "gw") {
-		t.Fatalf("first run printed no tables:\n%s", first)
-	}
-	second := captureRun(t, args)
-	if first != second {
-		t.Fatal("resumed run's tables differ from the first run's")
+	for _, tc := range []struct {
+		fig   string
+		cells int
+	}{{"8", 21}, {"resilience", 15}} {
+		t.Run(tc.fig, func(t *testing.T) {
+			store := filepath.Join(t.TempDir(), "store")
+			args := []string{"-fig", tc.fig, "-quick", "-env", "urban", "-seed", "1",
+				"-parallel", "4", "-quiet", "-store", store}
+			first, firstLog := runExpsweep(t, args...)
+			if !strings.Contains(first, "gateways") {
+				t.Fatalf("first run printed no tables:\n%s", first)
+			}
+			if want := fmt.Sprintf("0 loaded, %d simulated and persisted", tc.cells); !strings.Contains(firstLog, want) {
+				t.Errorf("first run stderr lacks %q:\n%s", want, firstLog)
+			}
+			second, secondLog := runExpsweep(t, args...)
+			if second != first {
+				t.Fatalf("store-loaded run's tables differ\ngot:\n%s\nwant:\n%s", second, first)
+			}
+			if want := fmt.Sprintf("%d loaded, 0 simulated", tc.cells); !strings.Contains(secondLog, want) {
+				t.Errorf("second run stderr lacks %q:\n%s", want, secondLog)
+			}
+		})
 	}
 }
 
 var serveAddrRe = regexp.MustCompile(` on (127\.0\.0\.1:\d+) \(`)
 
-// startServe launches a sweepd -serve subprocess, waits for it to announce
-// its listen address on stderr, and returns the address, the stdout buffer
-// the tables will land in, and a channel of its remaining stderr lines
-// (closed when the process's stderr reaches EOF).
+// startServe launches an expsweep -serve subprocess, waits for it to
+// announce its listen address on stderr, and returns the address, the stdout
+// buffer the tables will land in, and a channel of its remaining stderr
+// lines (closed when the process's stderr reaches EOF).
 func startServe(ctx context.Context, t *testing.T, args []string) (*exec.Cmd, string, *bytes.Buffer, <-chan string) {
 	t.Helper()
-	cmd := sweepdCmd(ctx, args...)
+	cmd := expsweepCmd(ctx, args...)
 	var tables bytes.Buffer
 	cmd.Stdout = &tables
 	stderr, err := cmd.StderrPipe()
@@ -182,14 +156,15 @@ func startServe(ctx context.Context, t *testing.T, args []string) (*exec.Cmd, st
 // -serve coordinator and two -connect worker processes over loopback TCP,
 // one worker SIGKILLed mid-sweep. The coordinator must finish the sweep on
 // the surviving worker (expired leases re-queue the dead worker's cells)
-// and print tables byte-identical to the in-process run. A second
-// serve+worker round over the same store must then recover every cell.
+// and print tables byte-identical to the in-process pool's. A second
+// serve+worker round over the same store must then recover every cell and
+// print the same bytes again.
 func TestServeSurvivesWorkerKill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process sweep is slow; skipped in -short")
 	}
 	base := []string{"-fig", "8", "-quick", "-env", "urban", "-seed", "1", "-reps", "1"}
-	want := captureRun(t, append(append([]string{}, base...), "-workers", "4", "-quiet"))
+	want, _ := runExpsweep(t, append(append([]string{}, base...), "-parallel", "4", "-quiet")...)
 
 	store := filepath.Join(t.TempDir(), "store")
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
@@ -203,8 +178,8 @@ func TestServeSurvivesWorkerKill(t *testing.T) {
 
 	workerCmd := func(id string) *exec.Cmd {
 		args := append(append([]string{}, base...),
-			"-store", store, "-connect", addr, "-id", id, "-giveup", "30s")
-		return sweepdCmd(ctx, args...)
+			"-store", store, "-connect", addr, "-id", id, "-giveup", "30s", "-parallel", "2")
+		return expsweepCmd(ctx, args...)
 	}
 	victim := workerCmd("wa")
 	victim.Stdout, victim.Stderr = io.Discard, io.Discard
@@ -242,7 +217,7 @@ func TestServeSurvivesWorkerKill(t *testing.T) {
 		t.Fatalf("surviving worker failed: %v\nstderr:\n%s", err, survivorLog.String())
 	}
 	if got := tables.String(); got != want {
-		t.Errorf("tables after worker kill differ from the in-process run\ngot:\n%s\nwant:\n%s", got, want)
+		t.Errorf("tables after worker kill differ from the in-process pool's\ngot:\n%s\nwant:\n%s", got, want)
 	}
 
 	// Store-resumed round: a fresh coordinator over the same store must
@@ -250,7 +225,7 @@ func TestServeSurvivesWorkerKill(t *testing.T) {
 	resumeArgs := append(append([]string{}, base...),
 		"-store", store, "-serve", "127.0.0.1:0", "-drain", "5s")
 	serve2, addr2, tables2, lines2 := startServe(ctx, t, resumeArgs)
-	w := sweepdCmd(ctx, append(append([]string{}, base...),
+	w := expsweepCmd(ctx, append(append([]string{}, base...),
 		"-store", store, "-connect", addr2, "-id", "wc", "-giveup", "30s")...)
 	var wLog bytes.Buffer
 	w.Stdout, w.Stderr = io.Discard, &wLog
@@ -268,9 +243,9 @@ func TestServeSurvivesWorkerKill(t *testing.T) {
 		t.Fatalf("resume worker failed: %v\nstderr:\n%s", err, wLog.String())
 	}
 	if got := tables2.String(); got != want {
-		t.Errorf("store-resumed tables differ from the in-process run\ngot:\n%s\nwant:\n%s", got, want)
+		t.Errorf("store-resumed tables differ from the in-process pool's\ngot:\n%s\nwant:\n%s", got, want)
 	}
-	if !strings.Contains(resumeLog.String(), "recovered") {
-		t.Errorf("resumed coordinator never reported recovered cells\nstderr:\n%s", resumeLog.String())
+	if !strings.Contains(resumeLog.String(), "21 recovered, 0 computed by remote workers") {
+		t.Errorf("resumed coordinator did not recover every cell\nstderr:\n%s", resumeLog.String())
 	}
 }

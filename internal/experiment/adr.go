@@ -65,35 +65,36 @@ type ADRPoint struct {
 }
 
 // ADRSweep runs the adaptive-data-rate figure: every MAC mode × gateway
-// count for the given environment on the shared worker pool (values < 1
-// mean GOMAXPROCS). The paper fixes SF7 because "ADR degrades under
-// mobility" — this sweep measures exactly that claim in the reproduction,
-// plus what confirmed traffic's downlink load costs on the shared channel.
-func ADRSweep(base Config, env Environment, workers int, progress func(string)) ([]ADRPoint, error) {
-	var points []ADRPoint
+// count for the given environment on the sweep executor (worker pool, run
+// store, cell spans and progress as in opts). The table renders one
+// replication per cell, so opts.Reps > 1 fails with ErrSingleRep. The paper
+// fixes SF7 because "ADR degrades under mobility" — this sweep measures
+// exactly that claim in the reproduction, plus what confirmed traffic's
+// downlink load costs on the shared channel.
+func ADRSweep(base Config, env Environment, opts SweepOptions) ([]ADRPoint, error) {
+	if opts.Reps > 1 {
+		return nil, fmt.Errorf("adr sweep with Reps %d: %w", opts.Reps, ErrSingleRep)
+	}
+	var (
+		points []ADRPoint
+		jobs   []sweepJob
+	)
 	for _, gw := range GatewaySweep() {
 		for _, mode := range ADRModes() {
-			points = append(points, ADRPoint{Environment: env, Mode: mode, Gateways: gw})
-		}
-	}
-	i, err := runPool(len(points), workers,
-		func(i int) (*Result, error) {
 			cfg := base
 			cfg.Environment = env
 			cfg.D2DRangeM = 0 // re-derive from environment
-			cfg.NumGateways = points[i].Gateways
-			cfg.MAC = points[i].Mode.apply()
-			return Run(cfg)
-		},
-		func(i int, res *Result) {
-			points[i].Result = res
-			if progress != nil {
-				progress(fmt.Sprintf("%-13s %s", points[i].Mode, res))
-			}
-		})
-	if err != nil {
-		return nil, fmt.Errorf("adr sweep %v/%v/gw=%d: %w",
-			env, points[i].Mode, points[i].Gateways, err)
+			cfg.NumGateways = gw
+			cfg.MAC = mode.apply()
+			jobs = append(jobs, sweepJob{cell: len(points), cfg: cfg,
+				label: fmt.Sprintf("%v/%v/gw=%d", env, mode, gw)})
+			points = append(points, ADRPoint{Environment: env, Mode: mode, Gateways: gw})
+		}
+	}
+	if err := runSweep(jobs, opts, func(j sweepJob, res *Result) {
+		points[j.cell].Result = res
+	}); err != nil {
+		return nil, fmt.Errorf("adr %w", err)
 	}
 	return points, nil
 }

@@ -343,7 +343,7 @@ func TestFig7Data(t *testing.T) {
 func TestTablesRender(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Duration = time.Hour
-	var points []SweepPoint
+	var points []AggregatePoint
 	for _, scheme := range Schemes() {
 		c := cfg
 		c.Scheme = scheme
@@ -352,20 +352,18 @@ func TestTablesRender(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		points = append(points, SweepPoint{Environment: Urban, Scheme: scheme, Gateways: 3, Result: res})
+		points = append(points, AggregatePoint{Environment: Urban, Scheme: scheme, Gateways: 10,
+			Seeds: []uint64{c.Seed}, Reps: []*Result{res}, Agg: AggregateResults([]*Result{res})})
 	}
 	for _, table := range []string{
-		Fig8Table(points), Fig9Table(points), Fig12Table(points), Fig13Table(points),
+		Fig8AggTable(points), Fig8MatchedTable(points), Fig9AggTable(points),
+		Fig12AggTable(points), Fig13AggTable(points),
 	} {
-		if table == "" {
-			t.Fatal("empty table")
-		}
-	}
-	// All three scheme columns must appear.
-	table := Fig8Table(points)
-	for _, s := range Schemes() {
-		if !containsStr(table, s.String()) {
-			t.Fatalf("table missing column %v:\n%s", s, table)
+		// All three scheme columns and the one gateway row must appear.
+		for _, want := range []string{Schemes()[0].String(), Schemes()[1].String(), Schemes()[2].String(), " 10 ( 40)"} {
+			if !containsStr(table, want) {
+				t.Fatalf("table missing %q:\n%s", want, table)
+			}
 		}
 	}
 }

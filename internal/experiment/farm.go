@@ -36,7 +36,8 @@ func layoutSweep(base Config, env Environment, reps int) (cells []AggregatePoint
 				cfg.Scheme = scheme
 				cfg.Seed = RepSeed(base.Seed, rep)
 				cells[ci].Seeds[rep] = cfg.Seed
-				jobs = append(jobs, sweepJob{cell: ci, rep: rep, cfg: cfg})
+				jobs = append(jobs, sweepJob{cell: ci, rep: rep, cfg: cfg,
+					label: fmt.Sprintf("%v/%v/gw=%d/rep=%d", env, scheme, gw, rep)})
 			}
 		}
 	}
@@ -89,12 +90,7 @@ func (f *FarmSweep) Cells() []sweepfarm.Cell {
 	out := make([]sweepfarm.Cell, len(f.jobs))
 	for i, j := range f.jobs {
 		key, _ := cacheKey(j.cfg)
-		c := f.cells[j.cell]
-		out[i] = sweepfarm.Cell{
-			Index: i,
-			Key:   key,
-			Label: fmt.Sprintf("%v/%v/gw=%d/rep=%d", c.Environment, c.Scheme, c.Gateways, j.rep),
-		}
+		out[i] = sweepfarm.Cell{Index: i, Key: key, Label: j.label}
 	}
 	return out
 }
@@ -164,11 +160,11 @@ func (f *FarmSweep) Points() []AggregatePoint {
 // RenderFigureTables writes the figure sweep's complete stdout block for one
 // environment: the Fig 8/9/12/13 aggregate tables, the optional pooled
 // percentile table, the matched-coverage table over replication 0, and the
-// overhead-ratio lines. expsweep and sweepd both print through this one
-// function, which is what makes their outputs byte-identical by
-// construction rather than by test alone. Cells with no replication-0 result
-// (quarantined under the farm) are omitted from the matched-coverage table;
-// every other table renders them as "-".
+// overhead-ratio lines. expsweep prints through this one function in every
+// mode — in-process pool and -serve coordinator — which is what makes their
+// outputs byte-identical by construction rather than by test alone. Cells
+// with no replication-0 result (quarantined under the farm) are omitted from
+// the matched-coverage table; every other table renders them as "-".
 func RenderFigureTables(w io.Writer, points []AggregatePoint, reps int, percentiles bool) {
 	fmt.Fprintln(w, Fig8AggTable(points))
 	if percentiles {
@@ -177,19 +173,7 @@ func RenderFigureTables(w io.Writer, points []AggregatePoint, reps int, percenti
 	if reps > 1 {
 		fmt.Fprintln(w, "(the matched-coverage table below uses replication 0 only: it needs raw per-delivery samples, not aggregates)")
 	}
-	var rep0 []SweepPoint
-	for _, p := range points {
-		if len(p.Reps) == 0 || p.Reps[0] == nil {
-			continue
-		}
-		rep0 = append(rep0, SweepPoint{
-			Environment: p.Environment,
-			Scheme:      p.Scheme,
-			Gateways:    p.Gateways,
-			Result:      p.Reps[0],
-		})
-	}
-	fmt.Fprintln(w, Fig8MatchedTable(rep0))
+	fmt.Fprintln(w, Fig8MatchedTable(points))
 	fmt.Fprintln(w, Fig9AggTable(points))
 	fmt.Fprintln(w, Fig12AggTable(points))
 	fmt.Fprintln(w, Fig13AggTable(points))

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -51,30 +50,6 @@ func TestGoldenQuickReports(t *testing.T) {
 	goldenCompare(t, "report_quick_seed1.golden", rep)
 }
 
-// TestGoldenFigTables locks the Fig8/9/12/13 table output for a QuickConfig
-// sweep subset (gateway counts 10 and 15, all schemes) at seed 1.
-func TestGoldenFigTables(t *testing.T) {
-	var points []SweepPoint
-	for _, gw := range []int{10, 15} {
-		for _, scheme := range Schemes() {
-			cfg := QuickConfig()
-			cfg.Seed = 1
-			cfg.Scheme = scheme
-			cfg.NumGateways = gw
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			points = append(points, SweepPoint{
-				Environment: cfg.Environment, Scheme: scheme, Gateways: gw, Result: res,
-			})
-		}
-	}
-	tables := fmt.Sprintf("%s\n%s\n%s\n%s",
-		Fig8Table(points), Fig9Table(points), Fig12Table(points), Fig13Table(points))
-	goldenCompare(t, "fig_tables_quick.golden", tables)
-}
-
 // TestGoldenFigBlock locks the complete figure-sweep table block that
 // expsweep prints for one environment: every Fig 8/9/12/13 table over all
 // seven gateway counts, the pooled percentile table, the matched-coverage
@@ -91,14 +66,14 @@ func TestGoldenFigBlock(t *testing.T) {
 	goldenCompare(t, "fig_block_quick.golden", b.String())
 }
 
-// TestGoldenOutageTable locks the PR 2 resilience figure the same way the
-// Fig 8/9/12/13 tables are locked: the full OutageSweep grid for QuickConfig
+// TestGoldenOutageTable locks the resilience figure the same way the
+// Fig 8/9/12/13 table block is locked: the full OutageSweep grid for QuickConfig
 // at seed 1, urban. Disruption-compilation or table-rendering drift fails
 // here before it corrupts the resilience artefact.
 func TestGoldenOutageTable(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.Seed = 1
-	points, err := OutageSweep(cfg, Urban, 1, nil)
+	points, err := OutageSweep(cfg, Urban, SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -286,7 +286,7 @@ func TestGoldenADRTable(t *testing.T) {
 	for _, seed := range []uint64{1, 2} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			points, err := ADRSweep(adrGoldenConfig(seed), Urban, 1, nil)
+			points, err := ADRSweep(adrGoldenConfig(seed), Urban, SweepOptions{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -299,12 +299,13 @@ func TestGoldenADRTable(t *testing.T) {
 // is order-independent.
 func TestADRSweepParallelMatchesSerial(t *testing.T) {
 	base := adrGoldenConfig(1)
-	serial, err := ADRSweep(base, Urban, 1, nil)
+	serial, err := ADRSweep(base, Urban, SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var lines []string
-	parallel, err := ADRSweep(base, Urban, 4, func(s string) { lines = append(lines, s) })
+	parallel, err := ADRSweep(base, Urban, SweepOptions{Workers: 4,
+		Progress: func(u CellUpdate) { lines = append(lines, u.Label) }})
 	if err != nil {
 		t.Fatal(err)
 	}

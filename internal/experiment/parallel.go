@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -12,33 +13,38 @@ import (
 	"mlorass/internal/telemetry"
 )
 
-// SweepOptions configures ParallelSweep.
+// SweepOptions configures the sweep executor behind ParallelSweep,
+// OutageSweep and ADRSweep.
 type SweepOptions struct {
 	// Workers is the worker-pool size; values < 1 mean GOMAXPROCS.
 	Workers int
 	// Reps is the number of replications per cell, each with a seed
 	// derived from the base config's via RepSeed; values < 1 mean 1.
+	// OutageSweep and ADRSweep render one replication per cell and reject
+	// Reps > 1 with ErrSingleRep.
 	Reps int
-	// Progress, when non-nil, receives one CellUpdate per completed
-	// replication, in completion order. ParallelSweep sends from a single
-	// goroutine and never closes the channel; the caller must drain it
-	// concurrently (sends block) and owns closing it after the sweep
-	// returns.
-	Progress chan<- CellUpdate
+	// Progress, when non-nil, is called once per completed replication,
+	// in completion order, from a single goroutine: calls never overlap,
+	// and the sweep waits for each to return.
+	Progress func(CellUpdate)
 	// Store, when non-nil, backs the sweep with the run-artifact cache:
 	// a cell whose (config, seed) key is already stored is loaded
 	// instead of re-simulated, and every freshly simulated cell is
 	// persisted — so repeating or resuming an interrupted sweep only
 	// pays for the cells it has never computed. Cached cells reproduce
-	// the original Result byte for byte in every aggregate table.
+	// the original Result byte for byte in every table.
 	Store *runstore.Store
 }
 
+// ErrSingleRep rejects Reps > 1 on a sweep whose table renders one
+// replication per cell (OutageSweep, ADRSweep).
+var ErrSingleRep = errors.New("this sweep renders one replication per cell; Reps must be 1")
+
 // CellUpdate is one completed replication, streamed while a sweep runs.
 type CellUpdate struct {
-	Environment Environment
-	Scheme      routing.Scheme
-	Gateways    int
+	// Label names the cell and replication, e.g. "urban/ROBC/gw=10/rep=0"
+	// in the figure grid, "urban/ROBC/down=20%" in the outage sweep.
+	Label string
 	// Rep is the replication index within the cell, Seed its derived seed.
 	Rep  int
 	Seed uint64
@@ -82,21 +88,26 @@ func RepSeed(base uint64, rep int) uint64 {
 	return z ^ (z >> 31)
 }
 
-// sweepJob is one (cell, replication) run of a sweep.
+// sweepJob is one (cell, replication) run of a sweep. The layout that
+// emits it formats the label once; spans, progress and farm cells read it.
 type sweepJob struct {
-	cell int // index into the AggregatePoint slice
-	rep  int
-	cfg  Config
+	cell  int // index into the layout's cell slice
+	rep   int
+	cfg   Config
+	label string
 }
 
-// runPool executes jobs 0..n-1 across a pool of workers (values < 1 mean
-// GOMAXPROCS). run is called concurrently; every successful result is handed
-// to onDone from the single collector goroutine, in completion order. Once
-// any job fails the remaining jobs are skipped, and the lowest-index failure
-// is reported as (index, error) so a failing sweep names the same job no
-// matter how completions interleave; full success returns (-1, nil). Both
-// figure and resilience sweeps run on this pool.
-func runPool(n, workers int, run func(i int) (*Result, error), onDone func(i int, res *Result)) (int, error) {
+// runSweep is the one in-process sweep executor: it runs jobs across a pool
+// of opts.Workers goroutines (values < 1 mean GOMAXPROCS), each through the
+// run store when opts.Store is set, with one "cell" span per job when the
+// config carries a span sink. Every result is handed to slot, then to
+// opts.Progress, from the single collector goroutine in completion order.
+// Once any job fails the workers stop claiming jobs, and the lowest-index
+// failure is returned so a failing sweep names the same job no matter how
+// completions interleave.
+func runSweep(jobs []sweepJob, opts SweepOptions, slot func(j sweepJob, res *Result)) error {
+	n := len(jobs)
+	workers := opts.Workers
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -104,40 +115,38 @@ func runPool(n, workers int, run func(i int) (*Result, error), onDone func(i int
 		workers = n
 	}
 	type done struct {
-		idx int
-		res *Result
-		err error
+		idx    int
+		res    *Result
+		cached bool
+		err    error
 	}
-	jobCh := make(chan int)
 	doneCh := make(chan done)
 	var (
-		failed atomic.Bool // workers skip remaining jobs once set
+		next   atomic.Int64 // index of the next job to claim
+		failed atomic.Bool  // workers stop claiming once set
 		wg     sync.WaitGroup
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobCh {
-				if failed.Load() {
-					doneCh <- done{idx: i}
-					continue
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= n || failed.Load() {
+					return
 				}
-				res, err := run(i)
-				doneCh <- done{idx: i, res: res, err: err}
+				res, cached, err := runJob(i, jobs[i], opts.Store)
+				doneCh <- done{idx: i, res: res, cached: cached, err: err}
 			}
 		}()
 	}
 	go func() {
-		for i := 0; i < n; i++ {
-			jobCh <- i
-		}
-		close(jobCh)
 		wg.Wait()
 		close(doneCh)
 	}()
 
 	firstErrIdx, firstErr := n, error(nil)
+	completed := 0
 	for d := range doneCh {
 		if d.err != nil {
 			failed.Store(true)
@@ -146,125 +155,67 @@ func runPool(n, workers int, run func(i int) (*Result, error), onDone func(i int
 			}
 			continue
 		}
-		if d.res == nil {
-			continue // skipped after a failure elsewhere
+		j := jobs[d.idx]
+		slot(j, d.res)
+		completed++
+		if opts.Progress != nil {
+			opts.Progress(CellUpdate{
+				Label:     j.label,
+				Rep:       j.rep,
+				Seed:      j.cfg.Seed,
+				Result:    d.res,
+				Cached:    d.cached,
+				Completed: completed,
+				Total:     n,
+			})
 		}
-		onDone(d.idx, d.res)
 	}
 	if firstErr != nil {
-		return firstErrIdx, firstErr
+		return fmt.Errorf("sweep %s: %w", jobs[firstErrIdx].label, firstErr)
 	}
-	return -1, nil
+	return nil
+}
+
+// runJob runs job i through the store and, when the config carries a span
+// sink, records one "cell" span: wall time, whether the store served it
+// (attr 1) or it was simulated (attr 0), and the job label.
+func runJob(i int, j sweepJob, store *runstore.Store) (*Result, bool, error) {
+	sink := j.cfg.Telemetry.Spans
+	var tok telemetry.SpanToken
+	if sink != nil {
+		tok = sink.StartSpan()
+	}
+	res, hit, err := runThroughStore(store, j.cfg)
+	if sink != nil && err == nil {
+		var attr int64
+		if hit {
+			attr = 1
+		}
+		sink.EndSpan(telemetry.SpanEnd{
+			Token: tok, Name: "cell", Shard: i, At: j.cfg.Duration, Attr: attr, Label: j.label,
+		})
+	}
+	return res, hit, err
 }
 
 // ParallelSweep runs the full figure grid — every scheme × gateway count for
 // the given environment, replicated opts.Reps times with seeds derived via
-// RepSeed — across a pool of opts.Workers goroutines. Each Run is
-// independently seeded and shares no state, so cells execute concurrently;
-// results are slotted back into deterministic figure order (gateway count
-// outer, scheme inner, replication innermost) regardless of completion
-// order, and each cell's replications are collapsed into an Aggregate.
-//
-// With Workers: 1 and Reps: 1 the output is identical, run for run, to the
-// serial SweepFigures engine this generalises.
+// RepSeed — on the sweep executor. Each Run is independently seeded and
+// shares no state, so cells execute concurrently; results are slotted back
+// into deterministic figure order (gateway count outer, scheme inner,
+// replication innermost) regardless of completion order, and each cell's
+// replications are collapsed into an Aggregate.
 func ParallelSweep(base Config, env Environment, opts SweepOptions) ([]AggregatePoint, error) {
-	workers := opts.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	reps := opts.Reps
-	if reps < 1 {
-		reps = 1
-	}
-
-	// Lay out cells and jobs in figure order (shared with the sweep farm);
-	// results land by index.
-	cells, jobs := layoutSweep(base, env, reps)
-	// The collector slots results and streams progress; runPool keeps the
-	// lowest-index error so a failing sweep reports the same cell no
-	// matter how completions interleave. cached[i] is written only by the
-	// worker running job i and read by the single collector after that
-	// job's done message, so the flags need no lock.
-	completed := 0
-	cached := make([]bool, len(jobs))
-	ji, err := runPool(len(jobs), workers,
-		func(i int) (*Result, error) {
-			j := jobs[i]
-			sink := j.cfg.Telemetry.Spans
-			var tok telemetry.SpanToken
-			if sink != nil {
-				tok = sink.StartSpan()
-			}
-			res, hit, err := runThroughStore(opts.Store, j.cfg)
-			cached[i] = hit
-			if sink != nil && err == nil {
-				// One span per cell replication: wall time, whether the
-				// store served it (attr 1) or it was simulated (attr 0),
-				// and the cell identity. The label formats only on the
-				// instrumented path.
-				var attr int64
-				if hit {
-					attr = 1
-				}
-				c := cells[j.cell]
-				sink.EndSpan(telemetry.SpanEnd{
-					Token: tok, Name: "cell", Shard: i, At: j.cfg.Duration, Attr: attr,
-					Label: fmt.Sprintf("%v/%v/gw=%d/rep=%d", c.Environment, c.Scheme, c.Gateways, j.rep),
-				})
-			}
-			return res, err
-		},
-		func(i int, res *Result) {
-			j := jobs[i]
-			cells[j.cell].Reps[j.rep] = res
-			completed++
-			if opts.Progress != nil {
-				c := cells[j.cell]
-				opts.Progress <- CellUpdate{
-					Environment: c.Environment,
-					Scheme:      c.Scheme,
-					Gateways:    c.Gateways,
-					Rep:         j.rep,
-					Seed:        c.Seeds[j.rep],
-					Result:      res,
-					Cached:      cached[i],
-					Completed:   completed,
-					Total:       len(jobs),
-				}
-			}
-		})
-	if err != nil {
-		c := cells[jobs[ji].cell]
-		return nil, fmt.Errorf("sweep %v/%v/gw=%d rep=%d: %w",
-			c.Environment, c.Scheme, c.Gateways, jobs[ji].rep, err)
+	cells, jobs := layoutSweep(base, env, opts.Reps)
+	if err := runSweep(jobs, opts, func(j sweepJob, res *Result) {
+		cells[j.cell].Reps[j.rep] = res
+	}); err != nil {
+		return nil, err
 	}
 	for i := range cells {
 		cells[i].Agg = AggregateResults(cells[i].Reps)
 	}
 	return cells, nil
-}
-
-// ParallelSweepFunc runs ParallelSweep and delivers progress updates to fn,
-// called sequentially from a single goroutine, so callers get streamed
-// progress without managing the Progress channel's drain-and-close dance
-// themselves. A nil fn is a plain ParallelSweep.
-func ParallelSweepFunc(base Config, env Environment, opts SweepOptions, fn func(CellUpdate)) ([]AggregatePoint, error) {
-	if fn == nil {
-		return ParallelSweep(base, env, opts)
-	}
-	ch := make(chan CellUpdate)
-	drained := make(chan struct{})
-	opts.Progress = ch
-	go func() {
-		defer close(drained)
-		for u := range ch {
-			fn(u)
-		}
-	}()
-	points, err := ParallelSweep(base, env, opts)
-	close(ch)
-	<-drained
-	return points, err
 }
 
 // Fig8AggTable renders the replicated mean end-to-end delay table (paper
@@ -341,22 +292,63 @@ func OverheadRatiosAgg(points []AggregatePoint) map[int]map[routing.Scheme]float
 	return out
 }
 
+// Fig8MatchedTable renders mean delay at matched delivery coverage: for each
+// gateway count, every scheme's mean over its K fastest deliveries, where K
+// is the smallest delivery count among the schemes at that gateway count.
+// This removes the survivorship bias of the plain mean (a forwarding scheme
+// that rescues otherwise-undeliverable messages adds slow samples the
+// baseline's mean omits) and is the fair delay comparison EXPERIMENTS.md
+// reports against the paper's 10-25 % reduction. It reads replication 0 of
+// each cell: it needs raw per-delivery samples, not aggregates. Cells with
+// no replication-0 result are left out.
+func Fig8MatchedTable(points []AggregatePoint) string {
+	var measured []AggregatePoint
+	minDelivered := map[int]int{}
+	for _, p := range points {
+		if len(p.Reps) == 0 || p.Reps[0] == nil {
+			continue
+		}
+		measured = append(measured, p)
+		if cur, ok := minDelivered[p.Gateways]; !ok || p.Reps[0].Delivered < cur {
+			minDelivered[p.Gateways] = p.Reps[0].Delivered
+		}
+	}
+	return gridTable(measured, "Fig 8 (matched coverage): mean delay [s] over each scheme's K fastest deliveries", "",
+		func(p AggregatePoint) string {
+			return fmt.Sprintf("%13.1f", p.Reps[0].MatchedDelayMean(minDelivered[p.Gateways]))
+		})
+}
+
 // aggTable renders a gateways × schemes grid of aggregate cells.
 func aggTable(points []AggregatePoint, title string, cell func(*Aggregate) string) string {
-	byKey := map[[2]int]*Aggregate{}
-	gwSet := map[int]bool{}
-	var env Environment
 	reps := 0
 	for _, p := range points {
-		byKey[[2]int{p.Gateways, int(p.Scheme)}] = p.Agg
-		gwSet[p.Gateways] = true
-		env = p.Environment
 		if p.Agg != nil && p.Agg.Reps > reps {
 			reps = p.Agg.Reps
 		}
 	}
+	return gridTable(points, title, fmt.Sprintf(", %d rep(s)", reps), func(p AggregatePoint) string {
+		if p.Agg == nil {
+			return "-"
+		}
+		return cell(p.Agg)
+	})
+}
+
+// gridTable renders a gateways × schemes grid: a title line naming the
+// environment (then suffix), one row per gateway count present in points,
+// in figure order, and "-" for a missing cell.
+func gridTable(points []AggregatePoint, title, suffix string, cell func(AggregatePoint) string) string {
+	byKey := map[[2]int]string{}
+	gwSet := map[int]bool{}
+	var env Environment
+	for _, p := range points {
+		byKey[[2]int{p.Gateways, int(p.Scheme)}] = cell(p)
+		gwSet[p.Gateways] = true
+		env = p.Environment
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s — %s environment, %d rep(s)\n", title, env, reps)
+	fmt.Fprintf(&b, "%s — %s environment%s\n", title, env, suffix)
 	fmt.Fprintf(&b, "%-18s", "gateways (paper)")
 	for _, s := range Schemes() {
 		fmt.Fprintf(&b, " | %16s", s)
@@ -368,12 +360,11 @@ func aggTable(points []AggregatePoint, title string, cell func(*Aggregate) strin
 		}
 		fmt.Fprintf(&b, "%3d (%3d)         ", g, PaperEquivalentGateways(g))
 		for _, s := range Schemes() {
-			a := byKey[[2]int{g, int(s)}]
-			if a == nil {
-				fmt.Fprintf(&b, " | %16s", "-")
-				continue
+			c, ok := byKey[[2]int{g, int(s)}]
+			if !ok {
+				c = "-"
 			}
-			fmt.Fprintf(&b, " | %16s", cell(a))
+			fmt.Fprintf(&b, " | %16s", c)
 		}
 		b.WriteByte('\n')
 	}

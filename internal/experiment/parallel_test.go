@@ -1,11 +1,17 @@
 package experiment
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 
+	"mlorass/internal/obs"
 	"mlorass/internal/routing"
+	"mlorass/internal/runstore"
 )
 
 // sweepTestConfig is a very small scenario so a full 21-cell grid stays
@@ -85,52 +91,21 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSweepFiguresWrapperDeterministic pins the serial wrapper's behaviour:
-// figure ordering, one replication per cell, progress lines in figure order.
-func TestSweepFiguresWrapperDeterministic(t *testing.T) {
-	base := sweepTestConfig()
-	var lines []string
-	points, err := SweepFigures(base, Urban, func(l string) { lines = append(lines, l) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCells := len(GatewaySweep()) * len(Schemes())
-	if len(points) != wantCells {
-		t.Fatalf("got %d points, want %d", len(points), wantCells)
-	}
-	if len(lines) != wantCells {
-		t.Fatalf("got %d progress lines, want %d", len(lines), wantCells)
-	}
-	i := 0
-	for _, gw := range GatewaySweep() {
-		for _, scheme := range Schemes() {
-			p := points[i]
-			if p.Gateways != gw || p.Scheme != scheme {
-				t.Fatalf("point %d out of figure order: gw=%d scheme=%v, want gw=%d scheme=%v",
-					i, p.Gateways, p.Scheme, gw, scheme)
-			}
-			if lines[i] != p.Result.String() {
-				t.Fatalf("progress line %d does not match point %d", i, i)
-			}
-			i++
-		}
-	}
-}
-
-// TestParallelProgressStreams checks the channel-based progress stream: one
-// update per completed replication with a monotone completion counter, even
-// with many workers finishing out of order.
+// TestParallelProgressStreams checks the progress callback: one update per
+// completed replication with a monotone completion counter and the job's
+// label, even with many workers finishing out of order.
 func TestParallelProgressStreams(t *testing.T) {
 	base := sweepTestConfig()
 	const reps = 2
 	total := len(GatewaySweep()) * len(Schemes()) * reps
-	ch := make(chan CellUpdate, total)
-	if _, err := ParallelSweep(base, Rural, SweepOptions{Workers: 6, Reps: reps, Progress: ch}); err != nil {
+	var updates []CellUpdate
+	progress := func(u CellUpdate) { updates = append(updates, u) }
+	if _, err := ParallelSweep(base, Rural, SweepOptions{Workers: 6, Reps: reps, Progress: progress}); err != nil {
 		t.Fatal(err)
 	}
-	close(ch)
 	n := 0
-	for u := range ch {
+	labels := map[string]bool{}
+	for _, u := range updates {
 		n++
 		if u.Completed != n {
 			t.Fatalf("update %d carries Completed=%d", n, u.Completed)
@@ -147,6 +122,13 @@ func TestParallelProgressStreams(t *testing.T) {
 		if u.Seed != RepSeed(base.Seed, u.Rep) {
 			t.Fatalf("update seed %d != RepSeed(%d, %d)", u.Seed, base.Seed, u.Rep)
 		}
+		if !strings.HasPrefix(u.Label, "rural/") || !strings.HasSuffix(u.Label, fmt.Sprintf("/rep=%d", u.Rep)) {
+			t.Fatalf("update label %q does not name a rural rep-%d cell", u.Label, u.Rep)
+		}
+		labels[u.Label] = true
+	}
+	if len(labels) != total {
+		t.Fatalf("%d distinct labels for %d updates", len(labels), total)
 	}
 	if n != total {
 		t.Fatalf("streamed %d updates, want %d", n, total)
@@ -282,5 +264,97 @@ func TestAggTablesRender(t *testing.T) {
 				t.Fatalf("gw=%d %v overhead ratio %v not positive", gw, sch, v)
 			}
 		}
+	}
+}
+
+// TestSingleRepSweepsThroughStore runs the outage and ADR sweeps through
+// the shared executor's store, span and progress paths: a second pass over
+// the same store loads every cell and renders the same table bytes, and
+// every cell span carries its job label.
+func TestSingleRepSweepsThroughStore(t *testing.T) {
+	outageBase := QuickConfig()
+	outageBase.Seed = 1
+	for _, tc := range []struct {
+		name  string
+		base  Config
+		label *regexp.Regexp
+		sweep func(Config, SweepOptions) (string, error)
+	}{
+		{"outage", outageBase, regexp.MustCompile(`^urban/(NoRouting|RCA-ETX|ROBC)/down=\d+%$`),
+			func(base Config, opts SweepOptions) (string, error) {
+				points, err := OutageSweep(base, Urban, opts)
+				if err != nil {
+					return "", err
+				}
+				return OutageTable(points), nil
+			}},
+		{"adr", adrGoldenConfig(1), regexp.MustCompile(`^urban/(fixed-SF|ADR|ADR\+confirmed)/gw=\d+$`),
+			func(base Config, opts SweepOptions) (string, error) {
+				points, err := ADRSweep(base, Urban, opts)
+				if err != nil {
+					return "", err
+				}
+				return ADRTable(points), nil
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store, err := runstore.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			flight := obs.NewFlightRecorder(256)
+			base := tc.base
+			base.Telemetry.Spans = flight
+			pass := func() (table string, cells, cached int) {
+				t.Helper()
+				table, err := tc.sweep(base, SweepOptions{Workers: 4, Store: store,
+					Progress: func(u CellUpdate) {
+						cells++
+						if u.Cached {
+							cached++
+						}
+						if !tc.label.MatchString(u.Label) {
+							t.Errorf("progress label %q does not match %v", u.Label, tc.label)
+						}
+					}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return table, cells, cached
+			}
+			first, cells, cached := pass()
+			if cached != 0 {
+				t.Fatalf("cold pass loaded %d cells from an empty store", cached)
+			}
+			second, cells2, cached2 := pass()
+			if cells2 != cells || cached2 != cells {
+				t.Fatalf("warm pass loaded %d of %d cells, want all %d", cached2, cells2, cells)
+			}
+			if st := store.Stats(); st.Puts != uint64(cells) || st.Hits != uint64(cells) {
+				t.Fatalf("store stats %+v, want %d puts and %d hits", st, cells, cells)
+			}
+			if second != first {
+				t.Fatalf("store-loaded table differs:\n--- got ---\n%s--- want ---\n%s", second, first)
+			}
+
+			spans := flight.Spans(0)
+			if len(spans) != 2*cells {
+				t.Fatalf("recorded %d cell spans, want %d", len(spans), 2*cells)
+			}
+			hits := 0
+			for _, sp := range spans {
+				if sp.Name != "cell" || !tc.label.MatchString(sp.Label) {
+					t.Errorf("span %q label %q does not match %v", sp.Name, sp.Label, tc.label)
+				}
+				hits += int(sp.Attr)
+			}
+			if hits != cells {
+				t.Errorf("%d spans marked as store hits, want %d", hits, cells)
+			}
+
+			if _, err := tc.sweep(tc.base, SweepOptions{Reps: 2}); !errors.Is(err, ErrSingleRep) {
+				t.Fatalf("Reps 2 error = %v, want ErrSingleRep", err)
+			}
+		})
 	}
 }

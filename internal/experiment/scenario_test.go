@@ -221,7 +221,7 @@ func TestOutageSweepAndTable(t *testing.T) {
 	base := tinyConfig()
 	base.Duration = time.Hour
 	base.Disruption.OutageDuration = time.Hour // downed gateways stay down
-	points, err := OutageSweep(base, Urban, 4, nil)
+	points, err := OutageSweep(base, Urban, SweepOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,11 +107,12 @@ func TestParallelSweepStoreRoundTrip(t *testing.T) {
 	opts := SweepOptions{Workers: 4, Reps: 2, Store: store}
 
 	var firstCached, secondCached, secondTotal int
-	first, err := ParallelSweepFunc(base, Urban, opts, func(u CellUpdate) {
+	opts.Progress = func(u CellUpdate) {
 		if u.Cached {
 			firstCached++
 		}
-	})
+	}
+	first, err := ParallelSweep(base, Urban, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,12 +124,13 @@ func TestParallelSweepStoreRoundTrip(t *testing.T) {
 		t.Fatalf("cold sweep persisted %d artefacts, want %d", st.Puts, jobs)
 	}
 
-	second, err := ParallelSweepFunc(base, Urban, opts, func(u CellUpdate) {
+	opts.Progress = func(u CellUpdate) {
 		secondTotal++
 		if u.Cached {
 			secondCached++
 		}
-	})
+	}
+	second, err := ParallelSweep(base, Urban, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,18 +143,11 @@ func TestParallelSweepStoreRoundTrip(t *testing.T) {
 	if got, want := sweepTables(second), sweepTables(first); got != want {
 		t.Fatalf("cached sweep tables differ:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
-	// Replication-0 projections (matched-coverage table path) match too.
-	if got, want := Fig8MatchedTable(projectRep(second, 0)), Fig8MatchedTable(projectRep(first, 0)); got != want {
+	// The matched-coverage table reads raw replication-0 samples; it
+	// matches too.
+	if got, want := Fig8MatchedTable(second), Fig8MatchedTable(first); got != want {
 		t.Fatal("cached matched-coverage table differs")
 	}
-}
-
-func projectRep(points []AggregatePoint, rep int) []SweepPoint {
-	out := make([]SweepPoint, len(points))
-	for i, p := range points {
-		out[i] = SweepPoint{Environment: p.Environment, Scheme: p.Scheme, Gateways: p.Gateways, Result: p.Reps[rep]}
-	}
-	return out
 }
 
 // TestParallelSweepStoreResume simulates an interrupted sweep: a store
@@ -180,14 +175,15 @@ func TestParallelSweepStoreResume(t *testing.T) {
 	}
 
 	cachedSeen := 0
-	points, err := ParallelSweepFunc(base, Urban, SweepOptions{Workers: 2, Reps: 1, Store: store}, func(u CellUpdate) {
-		if u.Cached {
-			cachedSeen++
-			if u.Scheme != routing.SchemeNoRouting || u.Gateways > GatewaySweep()[1] {
-				t.Errorf("unexpected cached cell %v/gw=%d", u.Scheme, u.Gateways)
+	points, err := ParallelSweep(base, Urban, SweepOptions{Workers: 2, Reps: 1, Store: store,
+		Progress: func(u CellUpdate) {
+			if u.Cached {
+				cachedSeen++
+				if u.Label != "urban/NoRouting/gw=10/rep=0" && u.Label != "urban/NoRouting/gw=13/rep=0" {
+					t.Errorf("unexpected cached cell %s", u.Label)
+				}
 			}
-		}
-	})
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,11 +289,12 @@ func TestSweepResumesOverTruncatedArtefact(t *testing.T) {
 		t.Fatal(err)
 	}
 	recomputed := 0
-	second, err := ParallelSweepFunc(base, Urban, opts, func(u CellUpdate) {
+	opts.Progress = func(u CellUpdate) {
 		if !u.Cached {
 			recomputed++
 		}
-	})
+	}
+	second, err := ParallelSweep(base, Urban, opts)
 	if err != nil {
 		t.Fatalf("sweep failed over a truncated artefact: %v", err)
 	}

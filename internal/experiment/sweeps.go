@@ -27,151 +27,6 @@ func GatewaySweep() []int { return []int{10, 13, 15, 18, 20, 23, 25} }
 // 600 km² axis (×4 for the default 150 km² world).
 func PaperEquivalentGateways(n int) int { return n * 4 }
 
-// SweepPoint is one (environment, scheme, gateway-count) cell of a figure.
-type SweepPoint struct {
-	Environment Environment
-	Scheme      routing.Scheme
-	Gateways    int
-	Result      *Result
-}
-
-// SweepFigures runs the full Fig. 8/9/12/13 grid: every scheme × gateway
-// count for the given environment. The base config supplies scale and seed;
-// progress, if non-nil, receives one line per completed run.
-//
-// It is a thin serial wrapper around ParallelSweep: one worker, one
-// replication per cell, progress lines in figure order.
-func SweepFigures(base Config, env Environment, progress func(string)) ([]SweepPoint, error) {
-	var fn func(CellUpdate)
-	if progress != nil {
-		fn = func(u CellUpdate) { progress(u.Result.String()) }
-	}
-	cells, err := ParallelSweepFunc(base, env, SweepOptions{Workers: 1, Reps: 1}, fn)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]SweepPoint, len(cells))
-	for i, c := range cells {
-		out[i] = SweepPoint{Environment: c.Environment, Scheme: c.Scheme, Gateways: c.Gateways, Result: c.Reps[0]}
-	}
-	return out, nil
-}
-
-// Fig8Table renders the mean end-to-end delay table (paper Fig. 8): one row
-// per gateway count, one column per scheme, in seconds with standard errors.
-func Fig8Table(points []SweepPoint) string {
-	return schemeTable(points, "Fig 8: mean end-to-end delay [s] (± stderr)",
-		func(r *Result) string {
-			return fmt.Sprintf("%7.1f ±%5.1f", r.Delay.Mean(), r.Delay.StdErr())
-		})
-}
-
-// Fig8MatchedTable renders mean delay at matched delivery coverage: for each
-// gateway count, every scheme's mean over its K fastest deliveries, where K
-// is the smallest delivery count among the schemes at that gateway count.
-// This removes the survivorship bias of the plain mean (a forwarding scheme
-// that rescues otherwise-undeliverable messages adds slow samples the
-// baseline's mean omits) and is the fair delay comparison EXPERIMENTS.md
-// reports against the paper's 10-25 % reduction.
-func Fig8MatchedTable(points []SweepPoint) string {
-	minDelivered := map[int]int{}
-	for _, p := range points {
-		if cur, ok := minDelivered[p.Gateways]; !ok || p.Result.Delivered < cur {
-			minDelivered[p.Gateways] = p.Result.Delivered
-		}
-	}
-	return schemeTable(points, "Fig 8 (matched coverage): mean delay [s] over each scheme's K fastest deliveries",
-		func(r *Result) string {
-			return fmt.Sprintf("%13.1f", r.MatchedDelayMean(minDelivered[r.Config.NumGateways]))
-		})
-}
-
-// Fig9Table renders total network throughput (paper Fig. 9): distinct
-// messages delivered over the horizon.
-func Fig9Table(points []SweepPoint) string {
-	return schemeTable(points, "Fig 9: total throughput [messages delivered]",
-		func(r *Result) string { return fmt.Sprintf("%13d", r.Delivered) })
-}
-
-// Fig12Table renders the mean hop count (paper Fig. 12).
-func Fig12Table(points []SweepPoint) string {
-	return schemeTable(points, "Fig 12: mean hops per delivered message",
-		func(r *Result) string {
-			return fmt.Sprintf("%6.2f (max %2.0f)", r.Hops.Mean(), r.Hops.Max())
-		})
-}
-
-// Fig13Table renders the mean number of message copies transmitted per node
-// (paper Fig. 13), the energy-overhead proxy.
-func Fig13Table(points []SweepPoint) string {
-	return schemeTable(points, "Fig 13: mean messages sent per node",
-		func(r *Result) string { return fmt.Sprintf("%13.1f", r.MsgSendsPerNode.Mean()) })
-}
-
-// OverheadRatios returns, per gateway count, each forwarding scheme's
-// message-send overhead relative to NoRouting (the paper reports 1.6–2.2×).
-func OverheadRatios(points []SweepPoint) map[int]map[routing.Scheme]float64 {
-	base := map[int]float64{}
-	for _, p := range points {
-		if p.Scheme == routing.SchemeNoRouting {
-			base[p.Gateways] = p.Result.MsgSendsPerNode.Mean()
-		}
-	}
-	out := map[int]map[routing.Scheme]float64{}
-	for _, p := range points {
-		if p.Scheme == routing.SchemeNoRouting {
-			continue
-		}
-		b := base[p.Gateways]
-		if b <= 0 {
-			continue
-		}
-		if out[p.Gateways] == nil {
-			out[p.Gateways] = map[routing.Scheme]float64{}
-		}
-		out[p.Gateways][p.Scheme] = p.Result.MsgSendsPerNode.Mean() / b
-	}
-	return out
-}
-
-// schemeTable renders a gateways × schemes grid using cell.
-func schemeTable(points []SweepPoint, title string, cell func(*Result) string) string {
-	byKey := map[[2]int]*Result{}
-	gwSet := map[int]bool{}
-	var env Environment
-	for _, p := range points {
-		byKey[[2]int{p.Gateways, int(p.Scheme)}] = p.Result
-		gwSet[p.Gateways] = true
-		env = p.Environment
-	}
-	var gws []int
-	for _, g := range GatewaySweep() {
-		if gwSet[g] {
-			gws = append(gws, g)
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s — %s environment\n", title, env)
-	fmt.Fprintf(&b, "%-18s", "gateways (paper)")
-	for _, s := range Schemes() {
-		fmt.Fprintf(&b, " | %16s", s)
-	}
-	b.WriteByte('\n')
-	for _, g := range gws {
-		fmt.Fprintf(&b, "%3d (%3d)         ", g, PaperEquivalentGateways(g))
-		for _, s := range Schemes() {
-			r := byKey[[2]int{g, int(s)}]
-			if r == nil {
-				fmt.Fprintf(&b, " | %16s", "-")
-				continue
-			}
-			fmt.Fprintf(&b, " | %16s", cell(r))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // OutageFractions lists the gateway-down fractions of the outage-resilience
 // sweep (0 is the paper's permanently healthy baseline).
 func OutageFractions() []float64 { return []float64{0, 0.2, 0.4, 0.6, 0.8} }
@@ -188,37 +43,37 @@ type OutagePoint struct {
 }
 
 // OutageSweep runs the outage-resilience grid: every scheme × gateway-down
-// fraction for the given environment, on the same worker pool as the figure
-// sweeps (values < 1 mean GOMAXPROCS). Each run is independently seeded and
-// deterministic; results land in (fraction outer, scheme inner) order
-// regardless of completion order. The paper never tests infrastructure
-// failure — this sweep asks whether the forwarding schemes' delivery
-// advantage survives it.
-func OutageSweep(base Config, env Environment, workers int, progress func(string)) ([]OutagePoint, error) {
-	var points []OutagePoint
+// fraction for the given environment, on the sweep executor (worker pool,
+// run store, cell spans and progress as in opts). Each run is independently
+// seeded and deterministic; results land in (fraction outer, scheme inner)
+// order regardless of completion order. The table renders one replication
+// per cell, so opts.Reps > 1 fails with ErrSingleRep. The paper never tests
+// infrastructure failure — this sweep asks whether the forwarding schemes'
+// delivery advantage survives it.
+func OutageSweep(base Config, env Environment, opts SweepOptions) ([]OutagePoint, error) {
+	if opts.Reps > 1 {
+		return nil, fmt.Errorf("outage sweep with Reps %d: %w", opts.Reps, ErrSingleRep)
+	}
+	var (
+		points []OutagePoint
+		jobs   []sweepJob
+	)
 	for _, f := range OutageFractions() {
 		for _, scheme := range Schemes() {
-			points = append(points, OutagePoint{Environment: env, Scheme: scheme, Fraction: f})
-		}
-	}
-	i, err := runPool(len(points), workers,
-		func(i int) (*Result, error) {
 			cfg := base
 			cfg.Environment = env
 			cfg.D2DRangeM = 0 // re-derive from environment
-			cfg.Scheme = points[i].Scheme
-			cfg.Disruption.GatewayOutageFraction = points[i].Fraction
-			return Run(cfg)
-		},
-		func(i int, res *Result) {
-			points[i].Result = res
-			if progress != nil {
-				progress(fmt.Sprintf("down=%.0f%% %s", 100*points[i].Fraction, res))
-			}
-		})
-	if err != nil {
-		return nil, fmt.Errorf("outage sweep %v/%v/down=%.0f%%: %w",
-			env, points[i].Scheme, 100*points[i].Fraction, err)
+			cfg.Scheme = scheme
+			cfg.Disruption.GatewayOutageFraction = f
+			jobs = append(jobs, sweepJob{cell: len(points), cfg: cfg,
+				label: fmt.Sprintf("%v/%v/down=%.0f%%", env, scheme, 100*f)})
+			points = append(points, OutagePoint{Environment: env, Scheme: scheme, Fraction: f})
+		}
+	}
+	if err := runSweep(jobs, opts, func(j sweepJob, res *Result) {
+		points[j.cell].Result = res
+	}); err != nil {
+		return nil, fmt.Errorf("outage %w", err)
 	}
 	return points, nil
 }

@@ -9,10 +9,11 @@ import (
 	"mlorass/internal/telemetry"
 )
 
-// SweepTracker follows one figure sweep as its cells land: counts, the
+// SweepTracker follows one sweep as its cells land: counts, the
 // exactly-pooled delay histogram of every completed cell, and wall-clock
-// pacing. The CLI feeds it from experiment.ParallelSweep progress updates;
-// the dashboard and /metrics read it. A nil *SweepTracker reads as an
+// pacing. The CLI feeds it from the sweep executor's progress updates or,
+// under expsweep -serve, from the farm coordinator's events; the
+// dashboard and /metrics read it. A nil *SweepTracker reads as an
 // empty, inactive sweep.
 type SweepTracker struct {
 	mu      sync.Mutex
@@ -24,7 +25,7 @@ type SweepTracker struct {
 	delay   telemetry.Histogram
 	started time.Time
 	active  bool
-	// Farm bookkeeping (sweepd): lease churn per worker plus the
+	// Farm bookkeeping (expsweep -serve): lease churn per worker plus the
 	// robustness counters. Zero-valued when the sweep runs in-process.
 	farm       bool
 	leases     map[string]int // worker -> live leases

@@ -110,9 +110,6 @@ func ParseMobilityModel(s string) (MobilityModel, error) {
 // statistics, the throughput time series, and per-node overhead.
 type Result = experiment.Result
 
-// SweepPoint is one cell of a figure sweep.
-type SweepPoint = experiment.SweepPoint
-
 // Summary is a streaming mean/stddev/min/max accumulator.
 type Summary = stats.Summary
 
@@ -164,18 +161,17 @@ func QuickConfig() Config { return experiment.QuickConfig() }
 // Run executes one scenario.
 func Run(cfg Config) (*Result, error) { return experiment.Run(cfg) }
 
-// SweepFigures runs the Fig. 8/9/12/13 grid for one environment, serially
-// with a single seed. For parallel, replicated sweeps use ParallelSweep.
-func SweepFigures(base Config, env Environment, progress func(string)) ([]SweepPoint, error) {
-	return experiment.SweepFigures(base, env, progress)
-}
-
-// SweepOptions configures ParallelSweep: worker-pool size, replications per
-// cell, and an optional streamed-progress channel.
+// SweepOptions configures the sweeps (ParallelSweep, OutageSweep,
+// ADRSweep): worker-pool size, replications per cell, an optional run
+// store, and an optional progress callback called from one goroutine.
 type SweepOptions = experiment.SweepOptions
 
-// CellUpdate is one completed replication streamed during a ParallelSweep.
+// CellUpdate is one completed replication streamed during a sweep.
 type CellUpdate = experiment.CellUpdate
+
+// ErrSingleRep is the error OutageSweep and ADRSweep wrap when asked for
+// SweepOptions.Reps > 1: their tables render one replication per cell.
+var ErrSingleRep = experiment.ErrSingleRep
 
 // AggregatePoint is one sweep cell with per-replication Results and their
 // cross-replication Aggregate.
@@ -223,9 +219,9 @@ type OutagePoint = experiment.OutagePoint
 func OutageFractions() []float64 { return experiment.OutageFractions() }
 
 // OutageSweep runs the outage-resilience grid (every scheme × gateway-down
-// fraction) across a worker pool; workers < 1 means GOMAXPROCS.
-func OutageSweep(base Config, env Environment, workers int, progress func(string)) ([]OutagePoint, error) {
-	return experiment.OutageSweep(base, env, workers, progress)
+// fraction) on the sweep executor; opts.Reps must be at most 1.
+func OutageSweep(base Config, env Environment, opts SweepOptions) ([]OutagePoint, error) {
+	return experiment.OutageSweep(base, env, opts)
 }
 
 // OutageTable renders the resilience sweep: delivery ratio per scheme as the
@@ -248,21 +244,14 @@ type (
 func ADRModes() []ADRMode { return experiment.ADRModes() }
 
 // ADRSweep runs the adaptive-data-rate grid (every MAC mode × gateway
-// count) across a worker pool; workers < 1 means GOMAXPROCS.
-func ADRSweep(base Config, env Environment, workers int, progress func(string)) ([]ADRPoint, error) {
-	return experiment.ADRSweep(base, env, workers, progress)
+// count) on the sweep executor; opts.Reps must be at most 1.
+func ADRSweep(base Config, env Environment, opts SweepOptions) ([]ADRPoint, error) {
+	return experiment.ADRSweep(base, env, opts)
 }
 
 // ADRTable renders the ADR sweep: delivery ratio, mean uplink SF, and
 // retransmissions per MAC mode as gateway density grows.
 func ADRTable(points []ADRPoint) string { return experiment.ADRTable(points) }
-
-// Fig8Table, Fig9Table, Fig12Table and Fig13Table render sweep results as
-// the corresponding paper tables.
-func Fig8Table(points []SweepPoint) string  { return experiment.Fig8Table(points) }
-func Fig9Table(points []SweepPoint) string  { return experiment.Fig9Table(points) }
-func Fig12Table(points []SweepPoint) string { return experiment.Fig12Table(points) }
-func Fig13Table(points []SweepPoint) string { return experiment.Fig13Table(points) }
 
 // GenerateDataset builds the synthetic TFL-like bus dataset used by the
 // evaluation; see the tfl package for the CSV interchange format.
@@ -337,6 +326,6 @@ func EncodeDataset(w io.Writer, d *Dataset) error { return tfl.Encode(w, d) }
 // DecodeDataset parses a dataset written by EncodeDataset.
 func DecodeDataset(r io.Reader) (*Dataset, error) { return tfl.Decode(r) }
 
-// Fig8MatchedTable renders the survivorship-corrected delay comparison (see
-// experiment.Fig8MatchedTable).
-func Fig8MatchedTable(points []SweepPoint) string { return experiment.Fig8MatchedTable(points) }
+// Fig8MatchedTable renders the survivorship-corrected delay comparison over
+// each cell's replication 0 (see experiment.Fig8MatchedTable).
+func Fig8MatchedTable(points []AggregatePoint) string { return experiment.Fig8MatchedTable(points) }

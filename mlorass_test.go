@@ -3,6 +3,7 @@ package mlorass_test
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -126,20 +127,24 @@ func TestPublicGatewaySweepMatchesTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points := []mlorass.SweepPoint{{
+	reps := []*mlorass.Result{res}
+	points := []mlorass.AggregatePoint{{
 		Environment: mlorass.Urban,
 		Scheme:      mlorass.SchemeNoRouting,
 		Gateways:    mlorass.GatewaySweep()[0],
-		Result:      res,
+		Seeds:       []uint64{cfg.Seed},
+		Reps:        reps,
+		Agg:         mlorass.AggregateResults(reps),
 	}}
 	for _, table := range []string{
-		mlorass.Fig8Table(points),
-		mlorass.Fig9Table(points),
-		mlorass.Fig12Table(points),
-		mlorass.Fig13Table(points),
+		mlorass.Fig8AggTable(points),
+		mlorass.Fig8MatchedTable(points),
+		mlorass.Fig9AggTable(points),
+		mlorass.Fig12AggTable(points),
+		mlorass.Fig13AggTable(points),
 	} {
-		if table == "" {
-			t.Fatal("empty figure table")
+		if !strings.Contains(table, " 10 ( 40)") {
+			t.Fatalf("figure table has no row for the one cell:\n%s", table)
 		}
 	}
 }
