@@ -277,10 +277,11 @@ func TestSingleRepSweepsThroughStore(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		base  Config
+		cells int
 		label *regexp.Regexp
 		sweep func(Config, SweepOptions) (string, error)
 	}{
-		{"outage", outageBase, regexp.MustCompile(`^urban/(NoRouting|RCA-ETX|ROBC)/down=\d+%$`),
+		{"outage", outageBase, len(OutageFractions()) * len(Schemes()), regexp.MustCompile(`^urban/(NoRouting|RCA-ETX|ROBC)/down=\d+%$`),
 			func(base Config, opts SweepOptions) (string, error) {
 				points, err := OutageSweep(base, Urban, opts)
 				if err != nil {
@@ -288,7 +289,7 @@ func TestSingleRepSweepsThroughStore(t *testing.T) {
 				}
 				return OutageTable(points), nil
 			}},
-		{"adr", adrGoldenConfig(1), regexp.MustCompile(`^urban/(fixed-SF|ADR|ADR\+confirmed)/gw=\d+$`),
+		{"adr", adrGoldenConfig(1), len(GatewaySweep()) * len(ADRModes()), regexp.MustCompile(`^urban/(fixed-SF|ADR|ADR\+confirmed)/gw=\d+$`),
 			func(base Config, opts SweepOptions) (string, error) {
 				points, err := ADRSweep(base, Urban, opts)
 				if err != nil {
@@ -323,8 +324,8 @@ func TestSingleRepSweepsThroughStore(t *testing.T) {
 				return table, cells, cached
 			}
 			first, cells, cached := pass()
-			if cached != 0 {
-				t.Fatalf("cold pass loaded %d cells from an empty store", cached)
+			if cells != tc.cells || cached != 0 {
+				t.Fatalf("cold pass reported %d cells (%d loaded), want %d simulated", cells, cached, tc.cells)
 			}
 			second, cells2, cached2 := pass()
 			if cells2 != cells || cached2 != cells {
