@@ -37,16 +37,8 @@ func TestFlagValidationErrors(t *testing.T) {
 		{"fig adr with -adr", []string{"-fig", "adr", "-adr"}, "-fig adr sweeps the MAC modes itself"},
 		{"fig adr with -confirmed", []string{"-fig", "adr", "-confirmed"}, "-fig adr sweeps the MAC modes itself"},
 		{"removed shards flag", []string{"-shards", "2"}, "flag provided but not defined: -shards"},
-		{"removed workers flag", []string{"-workers", "4"}, "flag provided but not defined: -workers"},
 		{"resilience reps", []string{"-fig", "resilience", "-reps", "3"}, "one replication per cell"},
 		{"adr reps", []string{"-fig", "adr", "-reps", "3"}, "one replication per cell"},
-		{"serve and connect", []string{"-env", "urban", "-serve", "x:1", "-connect", "y:1"}, "exclusive"},
-		{"serve both envs", []string{"-serve", "x:1"}, "ambiguous over the wire"},
-		{"connect both envs", []string{"-connect", "y:1"}, "ambiguous over the wire"},
-		{"serve non-figure sweep", []string{"-fig", "resilience", "-env", "urban", "-serve", "x:1"}, "figure sweeps (figs 8/9/12/13)"},
-		{"connect with listen", []string{"-connect", "y:1", "-env", "urban", "-listen", ":0"}, "-listen (observability) belongs"},
-		{"connect with progress", []string{"-connect", "y:1", "-env", "urban", "-progress"}, "-progress belongs"},
-		{"serve with trace", []string{"-serve", "x:1", "-env", "urban", "-trace", "t.jsonl"}, "-trace would stay empty"},
 		{"progress non-sweep fig", []string{"-fig", "7", "-progress"}, "has no sweep cells"},
 		{"progress with quiet", []string{"-fig", "8", "-progress", "-quiet"}, "contradictory"},
 		{"spans clashes with trace", []string{"-fig", "8", "-spans", "t.jsonl", "-trace", "t.jsonl"}, "would interleave"},

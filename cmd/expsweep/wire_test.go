@@ -57,6 +57,35 @@ func runExpsweep(t *testing.T, args ...string) (stdout, stderr string) {
 	return out.String(), errOut.String()
 }
 
+// TestFlagValidation covers the wire-mode flags: -serve and -connect need one
+// -env, exclude each other and the in-process-only flags, and the farm knobs
+// that the lease defaults replaced are no longer accepted.
+func TestFlagValidation(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"serve and connect", []string{"-env", "urban", "-serve", "x:1", "-connect", "y:1"}, "exclusive"},
+		{"serve both envs", []string{"-serve", "x:1"}, "ambiguous over the wire"},
+		{"connect both envs", []string{"-connect", "y:1"}, "ambiguous over the wire"},
+		{"serve non-figure sweep", []string{"-fig", "resilience", "-env", "urban", "-serve", "x:1"}, "figure sweeps (figs 8/9/12/13)"},
+		{"connect with listen", []string{"-connect", "y:1", "-env", "urban", "-listen", ":0"}, "-listen (observability) belongs"},
+		{"connect with progress", []string{"-connect", "y:1", "-env", "urban", "-progress"}, "-progress belongs"},
+		{"serve with trace", []string{"-serve", "x:1", "-env", "urban", "-trace", "t.jsonl"}, "-trace would stay empty"},
+		{"removed workers flag", []string{"-workers", "4"}, "flag provided but not defined: -workers"},
+		{"removed attempts flag", []string{"-attempts", "3"}, "flag provided but not defined: -attempts"},
+		{"removed inflight flag", []string{"-inflight", "2"}, "flag provided but not defined: -inflight"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := run(tc.args)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("run(%v) = %v, want error containing %q", tc.args, err, tc.want)
+			}
+		})
+	}
+}
+
 func TestParseEnvs(t *testing.T) {
 	if envs, err := parseEnvs("both"); err != nil || len(envs) != 2 {
 		t.Fatalf("both: %v %v", envs, err)
